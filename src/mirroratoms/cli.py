@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--horizon", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="golden-section tolerance in tau")
+                   help="refinement tolerance in tau")
     _add_output(p)
 
     p = sub.add_parser("sweep", help="run a sweep from a JSON config")

@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
-from .errors import DomainError, InvariantError
-from .evolution import (XState, _PopulationPropagator, default_horizon,
-                        prepare_initial)
+from .errors import ConvergenceError, DomainError, InvariantError
+from .evolution import (XState, _PopulationPropagator, _time_scale,
+                        default_horizon, prepare_initial)
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# uniform samples allowed over the coherence window, beyond which the
+# search raises ConvergenceError rather than truncate its grid
+_DENSE_BUDGET = 5_000_000
+_TAIL_SAMPLES = 2000
+_SECTIONS = 64
+_MAX_ROUNDS = 32  # the sectioning reaches its width floor within 12 rounds
 
 # coupled-basis kets (columns) written in the product basis |00>,|01>,|10>,|11>
 _SQ = 1.0 / math.sqrt(2.0)
@@ -151,23 +157,51 @@ def _concurrence_on_grid(prop: _PopulationPropagator, initial: XState,
     return np.clip(np.maximum(k1, k2), 0.0, 1.0)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi] down to bracket width tol."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fun(d)
-    t = 0.5 * (a + b)
-    return t, fun(t)
+def _refine(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """Maximize `fun` (vectorized over tau) on every bracket [lo[k], hi[k]] at once.
+
+    Each round samples the active brackets at _SECTIONS + 1 evenly spaced
+    points, ends included, in one call of `fun` and keeps the two sections
+    around each best sample. A bracket stops at width max(tol, 64 ulp(hi)),
+    a floor reachable at any magnitude. Returns each bracket's best sample.
+    """
+    best_t, best_c = np.array(lo, dtype=float), np.full(len(lo), -np.inf)
+    active = np.arange(best_t.size)
+    for _ in range(_MAX_ROUNDS):
+        if active.size == 0:
+            return best_t, best_c
+        ts = np.linspace(lo, hi, _SECTIONS + 1, axis=1)
+        cs = fun(ts.ravel()).reshape(ts.shape)
+        k = np.arange(active.size)
+        j = np.argmax(cs, axis=1)  # first maximum: ties go to the smallest tau
+        up = cs[k, j] > best_c[active]
+        best_t[active[up]], best_c[active[up]] = ts[k, j][up], cs[k, j][up]
+        lo, hi = ts[k, np.maximum(j - 1, 0)], ts[k, np.minimum(j + 1, _SECTIONS)]
+        going = hi - lo > np.maximum(tol, 64.0 * np.spacing(hi))
+        active, lo, hi = active[going], lo[going], hi[going]
+    raise ConvergenceError(f"bracket refinement did not converge in {_MAX_ROUNDS} rounds")
+
+
+def _search_grid(coeffs: CoefficientSet, state0: XState, horizon: float,
+                 samples_per_scale: int) -> np.ndarray:
+    """Search grid on [0, horizon]: the points of linspace(0, horizon, n + 1)
+    (`samples_per_scale` per time scale) up to the coherence window W, where
+    the c_as bound 2|c_as(0)| exp(-4 a1 t) on the concurrence falls to 1e-13,
+    but at least one scale; past W, where only the smooth populations
+    matter, a geometric tail of _TAIL_SAMPLES points up to the horizon."""
+    scale = _time_scale(coeffs, horizon)
+    n = max(math.ceil(samples_per_scale * horizon / scale), 100)
+    c0 = max(2.0 * abs(state0.c_as), 1e-13)
+    window = math.log(c0 / 1e-13) / (4.0 * coeffs.a1) if coeffs.a1 > 0.0 else horizon
+    dt = horizon / n
+    m = min(n, math.ceil(max(window, scale) / dt))
+    if m > _DENSE_BUDGET:
+        raise ConvergenceError(f"coherence window needs {m} samples; budget {_DENSE_BUDGET}")
+    taus = np.arange(m + 1) * dt
+    if m < n:
+        return np.concatenate([taus, np.geomspace(taus[-1], horizon, _TAIL_SAMPLES)[1:]])
+    taus[-1] = horizon
+    return taus
 
 
 def max_concurrence(params: SystemParams, horizon: float | None = None,
@@ -176,11 +210,13 @@ def max_concurrence(params: SystemParams, horizon: float | None = None,
     """Global maximum of the concurrence over [0, horizon] for an evolution
     started from `initial` (default the separable '10' state).
 
-    Dense grid scan (`samples_per_scale` points per oscillation/decay scale)
-    followed by golden-section refinement of every local bracket; ties
+    Scans a grid that is uniform (`samples_per_scale` points per
+    oscillation/decay scale) over the coherence window and geometric beyond
+    it, then sections every local bracket at once down to width `tol`; ties
     resolve to the smallest time. The default horizon outlasts both the
     coherence decay and the population relaxation. Warns when the maximum
-    sits at the horizon. Returns (tau_star, c_max).
+    sits at the horizon; raises ConvergenceError when the coherence window
+    needs more than _DENSE_BUDGET samples. Returns (tau_star, c_max).
     """
     if not (1e-10 <= tol <= 1e-4):
         raise DomainError(f"tol must lie in [1e-10, 1e-4], got {tol}")
@@ -192,37 +228,17 @@ def max_concurrence(params: SystemParams, horizon: float | None = None,
     if horizon <= 0.0 or not math.isfinite(horizon):
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
 
-    scale = horizon
-    if coeffs.d != 0.0:
-        scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
-    if coeffs.a1 > 0.0:
-        scale = min(scale, 1.0 / (4.0 * coeffs.a1))
-    n = int(math.ceil(samples_per_scale * horizon / scale))
-    n = min(max(n, 100), 500_000)
-    taus = np.linspace(0.0, horizon, n + 1)
-
-    prop = _PopulationPropagator(coeffs)
-    curve = _concurrence_on_grid(prop, state0, coeffs, taus)
-
-    def point(t: float) -> float:
-        return float(_concurrence_on_grid(prop, state0, coeffs, np.array([t]))[0])
-
-    candidates = [(taus[0], curve[0])]
-    interior = np.nonzero((curve[1:-1] >= curve[:-2]) & (curve[1:-1] >= curve[2:])
-                          & (curve[1:-1] > 0.0))[0] + 1
-    prev_i = -2
-    for i in interior:
-        if i == prev_i + 1:  # flat run; the first bracket already covers it
-            prev_i = i
-            continue
-        prev_i = i
-        candidates.append(_golden_max(point, taus[i - 1], taus[i + 1], tol))
-    candidates.append((taus[-1], curve[-1]))
-
-    tau_star, c_max = candidates[0]
-    for t, c in candidates[1:]:
-        if c > c_max:
-            tau_star, c_max = t, c
+    taus = _search_grid(coeffs, state0, horizon, samples_per_scale)
+    fun = partial(_concurrence_on_grid, _PopulationPropagator(coeffs), state0, coeffs)
+    curve = fun(taus)
+    inner = np.nonzero((curve[1:-1] >= curve[:-2]) & (curve[1:-1] >= curve[2:])
+                       & (curve[1:-1] > 0.0))[0] + 1
+    inner = inner[np.diff(inner, prepend=-2) != 1]  # a flat run needs one bracket
+    t_ref, c_ref = _refine(fun, taus[inner - 1], taus[inner + 1], tol)
+    cand_t = np.concatenate([taus[:1], t_ref, taus[-1:]])
+    cand_c = np.concatenate([curve[:1], c_ref, curve[-1:]])
+    best = int(np.argmax(cand_c))  # candidates are time-ordered: smallest tau wins
+    tau_star, c_max = cand_t[best], cand_c[best]
     if c_max <= 1e-13:  # below the roundoff floor of the k1 formula
         return 0.0, 0.0
     if tau_star >= taus[-2] and curve[-1] >= curve[-2]:

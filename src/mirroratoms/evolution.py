@@ -325,6 +325,17 @@ def default_horizon(coeffs: CoefficientSet, initial: XState,
     return max(t_coh, t_pop, 1.0)
 
 
+def _time_scale(coeffs: CoefficientSet, t_end: float) -> float:
+    """Shorter of the coherent-oscillation period pi/(2|d|) and the decay
+    scale 1/(4 a1), capped at t_end; grids sample it `samples_per_scale` times."""
+    scale = t_end
+    if coeffs.d != 0.0:
+        scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
+    if coeffs.a1 > 0.0:
+        scale = min(scale, 1.0 / (4.0 * coeffs.a1))
+    return scale
+
+
 def default_time_grid(coeffs: CoefficientSet, t_end: float,
                       samples_per_scale: int = 40,
                       max_points: int = 200_000) -> np.ndarray:
@@ -336,12 +347,7 @@ def default_time_grid(coeffs: CoefficientSet, t_end: float,
     """
     if t_end <= 0.0 or not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    scale = t_end
-    if coeffs.d != 0.0:
-        scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
-    if coeffs.a1 > 0.0:
-        scale = min(scale, 1.0 / (4.0 * coeffs.a1))
-    dt = scale / samples_per_scale
+    dt = _time_scale(coeffs, t_end) / samples_per_scale
     if t_end / dt > max_points:
         warnings.warn("time grid truncated to max_points; oscillations may alias",
                       RuntimeWarning)

@@ -1,14 +1,23 @@
 """Concurrence measures, generation rate, and the maximum-of-concurrence search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
-from mirroratoms import (CoefficientSet, DomainError, SystemParams, XState,
-                         compute_coefficients, concurrence_general, concurrence_x,
+import mirroratoms.concurrence as concurrence_mod
+from mirroratoms import (CoefficientSet, ConvergenceError, DomainError, SweepSpec,
+                         SystemParams, XState, compute_coefficients,
+                         concurrence_general, concurrence_x, default_horizon,
                          evolve_closed, evolve_numeric, generation_rate, k1_closed,
-                         max_concurrence, prepare_initial, to_product_matrix)
+                         max_concurrence, population_generator, prepare_initial,
+                         preset, run_sweep, to_product_matrix)
+from mirroratoms.cli import main
+from mirroratoms.concurrence import _concurrence_on_grid, _refine, _search_grid
+from mirroratoms.evolution import _PopulationPropagator
 
 from conftest import random_params, random_x_state
 import reference as ref
@@ -242,3 +251,144 @@ def test_max_concurrence_validation(anchor_params):
         max_concurrence(anchor_params, tol=1.0)
     with pytest.raises(DomainError):
         max_concurrence(anchor_params, horizon=-1.0)
+
+
+def test_max_concurrence_returns_at_huge_horizon():
+    # the default horizon here is 3.4e10; a uniform grid over it puts brackets
+    # near tau = 1e9, where doubles are spaced wider than an absolute stopping
+    # width of 1e-8. Expected value: the dense scan of
+    # bench/make_cmax_reference.py run on this point.
+    p = SystemParams.from_dimensionless(z_omega=3e-4, a_over_omega=0.1, l_omega=0.3)
+    tau_star, c_max = max_concurrence(p)
+    assert abs(c_max - 0.986544269526665) < 1e-12
+    assert tau_star == pytest.approx(2.2444e5, rel=1e-4)
+
+
+@pytest.mark.parametrize("a_over_omega, expected", [
+    (0.1, 0.9872831468976826),  # bench/cmax_reference.json, figure 10 rows
+    (1.0, 0.9772040343323681),
+])
+def test_max_concurrence_finds_first_coherent_peak(a_over_omega, expected):
+    # resolving d over the whole horizon (up to 4.5e5) would take 5.6e7
+    # uniform samples; a grid capped below that steps over the peak near 0.08
+    p = SystemParams.from_dimensionless(z_omega=0.5, a_over_omega=a_over_omega,
+                                        l_omega=0.05)
+    tau_star, c_max = max_concurrence(p)
+    assert abs(c_max - expected) < 1e-12
+    assert tau_star == pytest.approx(0.080, abs=1e-3)
+
+
+def test_dense_budget_overrun_is_an_error(monkeypatch, anchor_params, capsys):
+    monkeypatch.setattr(concurrence_mod, "_DENSE_BUDGET", 10)
+    with pytest.raises(ConvergenceError):
+        max_concurrence(anchor_params)
+    spec = SweepSpec(axis="z_omega", grid=(0.4,), quantity="cmax",
+                     fixed={"a_over_omega": 1.0, "l_omega": 0.3})
+    rows = run_sweep(spec).rows
+    assert all(row.value is None and "budget" in row.error for row in rows)
+    assert main(["cmax", "--z", "0.4", "--l", "0.3"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
+_MAGNITUDE = st.floats(0.0, 1e15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(brackets=st.lists(st.tuples(_MAGNITUDE, _MAGNITUDE), min_size=1, max_size=6),
+       center=_MAGNITUDE, freq=st.floats(0.0, 1e3))
+def test_refine_terminates_inside_each_bracket(brackets, center, freq):
+    lo, hi = np.array([sorted(b) for b in brackets]).T
+
+    def fun(t):
+        return np.cos(freq * t) - np.abs(t - center) / 1e15
+
+    taus, values = _refine(fun, lo, hi, 1e-8)
+    assert np.all((lo <= taus) & (taus <= hi))
+    assert np.all(values >= np.maximum(fun(lo), fun(hi)))
+    assert np.array_equal(values, fun(taus))
+
+
+@st.composite
+def figure_point(draw):
+    """(dims, with_d) inside the ranges one of the cmax figure presets spans."""
+    specs = preset(draw(st.sampled_from((7, 8, 9, 10))), points=2)
+    axis = specs[0].axis
+    dims = {axis: draw(st.floats(specs[0].grid[0], specs[0].grid[-1]))}
+    for key in specs[0].fixed:
+        values = [s.fixed[key] for s in specs]
+        dims[key] = draw(st.floats(min(values), max(values)))
+    return dims, draw(st.booleans())
+
+
+def _coeffs_at(dims, with_d):
+    coeffs = compute_coefficients(SystemParams.from_dimensionless(**dims))
+    return coeffs if with_d else coeffs.without_d()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(point=figure_point())
+def test_max_concurrence_bounds_its_own_grid(point):
+    coeffs = _coeffs_at(*point)
+    state0 = prepare_initial("ten")
+    taus = _search_grid(coeffs, state0, default_horizon(coeffs, state0), 40)
+    prop = _PopulationPropagator(coeffs)
+    curve = _concurrence_on_grid(prop, state0, coeffs, taus)
+    # past the coherence window the grid turns geometric and c_as no longer
+    # moves the concurrence by more than 1e-13 (the horizon itself is set
+    # exactly, so it may differ from n * dt on a grid with no tail)
+    tail = (taus != np.arange(taus.size) * taus[1]) & (taus < taus[-1])
+    incoherent = XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5)
+    assert np.all(np.abs(curve[tail] - _concurrence_on_grid(
+        prop, incoherent, coeffs, taus[tail])) <= 1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, c_max = max_concurrence(None, coeffs=coeffs)
+    assert c_max <= 1.0
+    assert c_max >= curve.max() or (c_max == 0.0 and curve.max() <= 1e-13)
+
+
+def _dense_scan_max(coeffs) -> float:
+    """Reference maximum for the '10' state, independent of the search:
+    max(0, k1) (c_ge = 0 keeps k2 <= 0) sampled uniformly over [0, W] at 400
+    points per time scale, W = ln(1e13) / (4 a1), then geometrically up to
+    the horizon; positive local maxima within 1e-6 of the best sample are
+    polished by bounded Brent to a relative width of 1e-12."""
+    w, v = np.linalg.eig(population_generator(coeffs))
+    modes = np.linalg.solve(v, prepare_initial("ten").populations)
+
+    def curve(t):
+        pops = (v @ (modes[:, None] * np.exp(np.outer(w, t)))).real
+        osc = np.exp(-8.0 * coeffs.a1 * t) * np.sin(4.0 * coeffs.d * t) ** 2
+        k1 = (np.sqrt((pops[2] - pops[3]) ** 2 + osc)
+              - 2.0 * np.sqrt(np.clip(pops[0] * pops[1], 0.0, None)))
+        return np.maximum(k1, 0.0)
+
+    scale = 1.0 / (4.0 * coeffs.a1)
+    if coeffs.d != 0.0:
+        scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
+    horizon = default_horizon(coeffs, prepare_initial("ten"))
+    window = min(math.log(1e13) / (4.0 * coeffs.a1), horizon)
+    taus = np.append(np.arange(0.0, window, scale / 400.0), window)
+    if window < horizon:
+        taus = np.concatenate([taus, np.geomspace(window, horizon, 20_000)[1:]])
+    values = curve(taus)
+    best = values.max()
+    inner = np.nonzero((values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
+                       & (values[1:-1] > max(best - 1e-6, 0.0)))[0] + 1
+    for i in inner:
+        lo, hi = taus[i - 1], taus[i + 1]
+        res = minimize_scalar(lambda t: -curve(np.array([t]))[0], bounds=(lo, hi),
+                              method="bounded",
+                              options={"xatol": 1e-12 * max(1.0, hi)})
+        best = max(best, -res.fun)
+    return best
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(point=figure_point())
+def test_max_concurrence_matches_dense_scan(point):
+    coeffs = _coeffs_at(*point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, c_max = max_concurrence(None, coeffs=coeffs)
+    assert abs(c_max - _dense_scan_max(coeffs)) < 1e-12
