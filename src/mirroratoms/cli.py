@@ -18,7 +18,7 @@ from .concurrence import generation_rate, max_concurrence
 from .correlations import SystemParams, compute_coefficients
 from .errors import (ConvergenceError, DegenerateKernelError, DomainError,
                      InvariantError)
-from .evolution import default_time_grid
+from .evolution import default_time_grid, tau_horizon
 from .sweep import (SweepResult, SweepSpec, emit, preset, render_csv,
                     render_json, run_sweep)
 
@@ -101,6 +101,13 @@ def _write(text: str, out: Path | None):
         out.write_text(text)
 
 
+def _require_positive(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise ConfigError(f"--{name} must be a positive integer, got {value}")
+
+
 def _params_from(args) -> SystemParams:
     return SystemParams(omega=args.omega, accel=args.accel, z=args.z, l=args.l,
                         gamma0=args.gamma0)
@@ -152,9 +159,8 @@ def cmd_rate(args) -> int:
 def cmd_evolve(args) -> int:
     params = _params_from(args)
     coeffs = compute_coefficients(params)
-    if coeffs.a1 <= 0.0:
-        raise DomainError("evolution requires a1 > 0")
-    t_end = args.t_end if args.t_end is not None else 6.0 / (4.0 * coeffs.a1)
+    horizon = tau_horizon(coeffs)  # also rejects a1 <= 0 under an explicit --t-end
+    t_end = args.t_end if args.t_end is not None else horizon
     if args.points is not None:
         if args.points < 2:
             raise ConfigError("--points must be at least 2")
@@ -202,6 +208,7 @@ def _load_spec(path: Path) -> SweepSpec:
 
 
 def cmd_sweep(args) -> int:
+    _require_positive(args, "parallelism")
     spec = _load_spec(args.spec)
     if args.no_d:
         spec = SweepSpec(axis=spec.axis, grid=spec.grid, fixed=spec.fixed,
@@ -221,6 +228,7 @@ def _panel_slug(specs, index: int) -> str:
 
 
 def cmd_figure(args) -> int:
+    _require_positive(args, "points", "parallelism")
     specs = preset(args.number, points=args.points)
     args.out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -20,7 +20,9 @@ from dataclasses import dataclass, replace
 from .errors import DomainError
 
 # Below accel*d the accelerated kernels switch to their inertial closed
-# forms; both branches agree to ~1e-12 at the switch (see tests).
+# forms. The branches differ by at most (accel*d)^2 (omega*d/3 + 1/2) in units
+# of the kernel envelope 1/(2 omega d): 4e-12 at the switch for omega*d <= 10,
+# 7e-11 at omega*d = 200 (see tests).
 INERTIAL_SWITCH = 1e-6
 
 

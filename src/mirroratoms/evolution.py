@@ -171,11 +171,15 @@ class _PopulationPropagator:
             self.v = v
             self.vinv = np.linalg.inv(v)
 
+    def modes(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        """Eigenmode amplitudes of the populations at each tau, shape
+        (4, len(taus)); the populations are `v` applied to them. Eigenbasis only."""
+        return (self.vinv @ p0)[:, None] * np.exp(np.outer(self.w, taus))
+
     def propagate(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Populations at each tau, shape (4, len(taus))."""
         if self._diagonalizable:
-            modes = self.vinv @ p0
-            out = (self.v @ (modes[:, None] * np.exp(np.outer(self.w, taus)))).real
+            out = (self.v @ self.modes(p0, taus)).real
         else:
             out = np.empty((4, taus.size))
             for i, t in enumerate(taus):
@@ -212,7 +216,15 @@ def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionRe
     HARD_TOL, which signals an inconsistent coefficient set.
     """
     t = _check_times(times)
-    pops = _PopulationPropagator(coeffs).propagate(initial.populations, t)
+    prop = _PopulationPropagator(coeffs)
+    if prop._diagonalizable:
+        # One 4x4 @ 4x1 product per stamp, stacked: BLAS may round a single
+        # 4x4 @ 4xN product differently with N, and a stamp must give the same
+        # bytes whichever other stamps are requested.
+        modes = prop.modes(initial.populations, t)
+        pops = (prop.v @ modes.T[:, :, None])[..., 0].T.real
+    else:
+        pops = prop.propagate(initial.populations, t)
     c_as = initial.c_as * np.exp(-4.0 * (coeffs.a1 + 1j * coeffs.d) * t)
     c_ge = initial.c_ge * np.exp(-4.0 * coeffs.a1 * t)
     return _assemble(t, pops, c_as, c_ge)
@@ -334,6 +346,14 @@ def _time_scale(coeffs: CoefficientSet, t_end: float) -> float:
     if coeffs.a1 > 0.0:
         scale = min(scale, 1.0 / (4.0 * coeffs.a1))
     return scale
+
+
+def tau_horizon(coeffs: CoefficientSet) -> float:
+    """End of the default concurrence time series, 6/(4 a1): the oscillating
+    coherence term has decayed to exp(-6) of its start."""
+    if coeffs.a1 <= 0.0:
+        raise DomainError("evolution requires a1 > 0")
+    return 6.0 / (4.0 * coeffs.a1)
 
 
 def default_time_grid(coeffs: CoefficientSet, t_end: float,

@@ -25,7 +25,8 @@ from .concurrence import generation_rate, max_concurrence
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
 from .errors import (ConvergenceError, DegenerateKernelError, DomainError,
                      InvariantError)
-from .evolution import default_time_grid, evolve_closed, prepare_initial
+from .evolution import (default_time_grid, evolve_closed, prepare_initial,
+                        tau_horizon)
 
 AXES = ("z_omega", "a_over_omega", "l_omega", "tau")
 QUANTITIES = ("rate", "cmax", "concurrence_t", "coefficients")
@@ -62,6 +63,8 @@ class SweepSpec:
         grid = tuple(float(g) for g in self.grid)
         if not grid:
             raise DomainError("grid must be nonempty")
+        if not all(math.isfinite(g) for g in grid):
+            raise DomainError("grid values must be finite")
         if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
             raise DomainError("grid must be strictly increasing")
         low = 0.0 if self.axis == "tau" else None
@@ -153,14 +156,35 @@ def _evaluate_point(spec: SweepSpec, axis_value: float) -> list:
     return rows
 
 
+def _tau_rows(spec: SweepSpec) -> list:
+    """Rows of a tau sweep from one evolve_closed call per variant over the
+    whole grid, byte-identical to evaluating each stamp on its own. If that
+    raises, the grid is evaluated stamp by stamp so that only the failing
+    stamps carry an error marker."""
+    try:
+        coeffs = compute_coefficients(_params_at(spec, spec.grid[0]))
+        curves = []
+        for variant in spec.variants:
+            c = coeffs.without_d() if variant == "without_D" else coeffs
+            curves.append((variant, c, evolve_closed(prepare_initial("ten"), c,
+                                                     spec.grid).concurrence))
+    except _ROW_ERRORS:
+        return [row for g in spec.grid for row in _evaluate_point(spec, g)]
+    return [SweepRow(g, variant, float(conc[i]), c)
+            for i, g in enumerate(spec.grid) for variant, c, conc in curves]
+
+
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
-    """Evaluate the sweep; results are independent of `parallelism`.
+    """Evaluate the sweep; results are independent of `parallelism`, which
+    tau sweeps ignore.
 
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
     if int(parallelism) != parallelism or parallelism < 1:
         raise DomainError(f"parallelism must be a positive integer, got {parallelism}")
+    if spec.axis == "tau":
+        return SweepResult(spec=spec, rows=_tau_rows(spec))
     if parallelism == 1:
         chunks = [_evaluate_point(spec, g) for g in spec.grid]
     else:
@@ -187,8 +211,7 @@ def _axis_grid(kind, points):
 
 def _tau_grid(fixed: dict) -> tuple:
     coeffs = compute_coefficients(SystemParams.from_dimensionless(**fixed))
-    t_end = 6.0 / (4.0 * coeffs.a1)  # oscillating term down to exp(-6)
-    return tuple(default_time_grid(coeffs, t_end))
+    return tuple(default_time_grid(coeffs, tau_horizon(coeffs)))
 
 
 def preset(figure: int, points: int = 400) -> list:

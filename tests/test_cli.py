@@ -118,6 +118,27 @@ def test_exit_code_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_positive_counts_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({
+        "axis": "z_omega", "grid": [0.4],
+        "fixed": {"a_over_omega": 1.0, "l_omega": 0.3}, "quantity": "rate"}))
+    assert main(["figure", "2", "--points", "0", "--out", str(tmp_path)]) == 2
+    assert main(["figure", "2", "--parallelism", "0", "--out", str(tmp_path)]) == 2
+    assert main(["sweep", "--spec", str(cfg), "--parallelism", "0"]) == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.glob("fig2_*"))
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_sweep_non_finite_grid_exits_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text('{"axis": "tau", "grid": [0.0, %s], "quantity": "concurrence_t", '
+                   '"fixed": {"z_omega": 0.4, "a_over_omega": 1.0, "l_omega": 0.3}}' % bad)
+    assert main(["sweep", "--spec", str(cfg)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["figure", "11"])

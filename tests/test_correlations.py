@@ -9,6 +9,7 @@ import pytest
 
 from mirroratoms import (DomainError, SystemParams, compute_coefficients,
                          coth, kernel_f, kernel_h, spectral_density)
+from mirroratoms.correlations import INERTIAL_SWITCH
 
 import reference as ref
 
@@ -116,6 +117,18 @@ def test_inertial_branch_continuity():
                                                        rel=1e-8, abs=1e-8)
             assert kernel_h(om, a, d) == pytest.approx(kernel_h(om, 0.0, d),
                                                        rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("kernel", [kernel_f, kernel_h])
+def test_inertial_branch_agreement_bound(kernel):
+    # the accelerated form departs from the inertial one at second order in
+    # a*d: by at most (a*d)^2 (omega*d/3 + 1/2) in units of the envelope
+    # 1/(2 omega d), from just above INERTIAL_SWITCH up to a*d = 1e-4
+    for ad in (INERTIAL_SWITCH * (1.0 + 1e-9), 1e-5, 1e-4):
+        for om in (0.5, 1.0, 2.0):
+            for d in np.geomspace(0.01, 100.0, 41):
+                diff = abs(kernel(om, ad / d, d) - kernel(om, 0.0, d)) * 2.0 * om * d
+                assert diff <= 1.01 * ad * ad * (om * d / 3.0 + 0.5) + 1e-14
 
 
 # --- coth ----------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mirroratoms.evolution as evolution
 from mirroratoms import (CoefficientSet, ConvergenceError, DegenerateKernelError,
@@ -162,6 +163,27 @@ def test_evolve_closed_time_validation(anchor_params):
         evolve_closed(s0, c, [])
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(z_omega=st.floats(0.4, 20.0), a_over_omega=st.floats(0.1, 2.7),
+       l_omega=st.floats(0.5, 1.9), with_d=st.booleans(),
+       start=st.floats(0.0, 0.5),
+       gaps=st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=80))
+def test_evolve_closed_stamp_bytes_independent_of_grid(z_omega, a_over_omega, l_omega,
+                                                       with_d, start, gaps):
+    # figure 5/6 panel ranges; each stamp of a whole-grid call must carry the
+    # same bits as a call for that stamp alone, which tau sweeps rely on
+    c = compute_coefficients(SystemParams.from_dimensionless(
+        z_omega=z_omega, a_over_omega=a_over_omega, l_omega=l_omega))
+    c = c if with_d else c.without_d()
+    t = evolution.tau_horizon(c) * np.cumsum([start, *gaps]) / (start + sum(gaps) + 1e-3)
+    s0 = prepare_initial("ten")
+    res = evolve_closed(s0, c, t)
+    for i, ti in enumerate(t):
+        alone = evolve_closed(s0, c, [ti])
+        assert res.concurrence[i].tobytes() == alone.concurrence[0].tobytes()
+        assert res.states[i] == alone.states[0]
+
+
 def test_monotone_coherence_decay(anchor_params):
     c = compute_coefficients(anchor_params)
     res = evolve_closed(prepare_initial("ten"), c, np.linspace(0.0, 5.0, 200))
@@ -266,6 +288,16 @@ def test_default_time_grid_resolves_oscillation(anchor_params):
     assert np.all(np.diff(grid) > 0.0)
     scale = min(math.pi / (2.0 * abs(c.d)), 1.0 / (4.0 * c.a1))
     assert np.max(np.diff(grid)) <= scale / 40.0 * (1.0 + 1e-12)
+
+
+def test_tau_horizon_is_six_coherence_e_folds(anchor_params):
+    c = compute_coefficients(anchor_params)
+    horizon = evolution.tau_horizon(c)
+    assert horizon == 6.0 / (4.0 * c.a1)
+    end = evolve_closed(prepare_initial("ten"), c, [horizon]).states[0]
+    assert abs(end.c_as) == pytest.approx(0.5 * math.exp(-6.0), rel=1e-12)
+    with pytest.raises(DomainError):
+        evolution.tau_horizon(CoefficientSet(a1=0.0, a2=0.0, b1=0.0, b2=0.0, d=0.0))
 
 
 def test_trace_preserved_along_closed_evolution():

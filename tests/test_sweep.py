@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import mirroratoms.sweep as sweep_mod
-from mirroratoms import (DomainError, SweepResult, SweepSpec, SystemParams,
-                         compute_coefficients, emit, generation_rate,
-                         load_result, preset, run_sweep)
+from mirroratoms import (DomainError, InvariantError, SweepResult, SweepSpec,
+                         SystemParams, compute_coefficients, emit,
+                         generation_rate, load_result, preset, run_sweep)
 from mirroratoms.sweep import render_csv, render_json
 
 
@@ -45,6 +45,18 @@ def test_spec_rejects_bad_fields():
         SweepSpec(axis="tau", grid=(0.0, 1.0),
                   fixed={"a_over_omega": 1.0, "l_omega": 0.3, "z_omega": 0.4},
                   quantity="rate")
+
+
+@pytest.mark.parametrize("axis", ["z_omega", "tau"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_grid(axis, bad):
+    fixed = {"a_over_omega": 1.0, "l_omega": 0.3}
+    if axis == "tau":
+        fixed["z_omega"] = 0.4
+    quantity = "concurrence_t" if axis == "tau" else "rate"
+    for grid in ((0.5, bad), (bad, 0.5), (bad,)):
+        with pytest.raises(DomainError, match="finite"):
+            SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity)
 
 
 def test_spec_normalizes_variant_order():
@@ -114,6 +126,57 @@ def test_tau_axis_sweep_evaluates_concurrence():
     values = [r.value for r in run_sweep(spec).rows]
     assert values[0] == pytest.approx(0.0, abs=1e-14)
     assert values[1] > 0.0
+
+
+def _per_stamp(spec):
+    """The reference path: every tau stamp and variant evaluated on its own."""
+    return SweepResult(spec=spec, rows=[row for g in spec.grid
+                                        for row in sweep_mod._evaluate_point(spec, g)])
+
+
+def test_tau_sweep_bytes_match_per_stamp_evaluation():
+    for spec in (preset(5)[0], preset(6)[-1]):
+        whole, alone = run_sweep(spec), _per_stamp(spec)
+        assert render_csv(whole) == render_csv(alone)
+        assert render_json(whole) == render_json(alone)
+
+
+def test_tau_sweep_calls_evolve_once_per_variant(monkeypatch):
+    spec = preset(5)[1]
+    stamps = []
+    real = sweep_mod.evolve_closed
+
+    def counted(initial, coeffs, times):
+        stamps.append(len(times))
+        return real(initial, coeffs, times)
+
+    monkeypatch.setattr(sweep_mod, "evolve_closed", counted)
+    run_sweep(spec, parallelism=2)
+    assert stamps == [len(spec.grid)] * len(spec.variants)
+
+
+def test_tau_sweep_failure_falls_back_to_per_stamp_markers(monkeypatch):
+    spec = preset(6)[2]
+    bad = spec.grid[7]
+    real = sweep_mod.evolve_closed
+
+    def stamp_only(initial, coeffs, times):
+        if len(times) > 1:
+            raise InvariantError("whole grid refused")
+        if times[0] == bad and coeffs.d == 0.0:
+            raise InvariantError("forced failure")
+        return real(initial, coeffs, times)
+
+    monkeypatch.setattr(sweep_mod, "evolve_closed", stamp_only)
+    result = run_sweep(spec)
+    failed = [(r.axis_value, r.variant, r.error, r.coeffs is not None)
+              for r in result.rows if r.error is not None]
+    assert failed == [(bad, "without_D", "forced failure", True)]
+    assert render_csv(result) == render_csv(_per_stamp(spec))
+    monkeypatch.undo()
+    healthy = run_sweep(spec).rows
+    assert [r for r in result.rows if r.error is None] == \
+        [r for r in healthy if (r.axis_value, r.variant) != (bad, "without_D")]
 
 
 # --- presets -----------------------------------------------------------------
