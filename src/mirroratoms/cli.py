@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +17,9 @@ import numpy as np
 from . import __version__
 from .concurrence import generation_rate, max_concurrence
 from .correlations import SystemParams, compute_coefficients
-from .errors import (ConvergenceError, DegenerateKernelError, DomainError,
-                     InvariantError)
+from .errors import NUMERICAL_ERRORS, DomainError
 from .evolution import default_time_grid, tau_horizon
-from .sweep import (SweepResult, SweepSpec, emit, preset, render_csv,
-                    render_json, run_sweep)
-
-_NUMERIC_ERRORS = (DomainError, ConvergenceError, InvariantError,
-                   DegenerateKernelError)
+from .sweep import VARIANTS, SweepResult, SweepSpec, emit, preset, run_sweep
 
 
 class ConfigError(Exception):
@@ -81,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", type=Path, required=True, help="sweep config file")
     p.add_argument("--no-d", action="store_true",
                    help="restrict to the without_D variant")
-    p.add_argument("--parallelism", type=int, default=1)
     _add_output(p, formats=("csv", "json"))
 
     p = sub.add_parser("figure", help="run a figure preset, write one file per panel and variant")
@@ -89,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="figure number (2..10)")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--points", type=int, default=400, help="grid points per axis")
-    p.add_argument("--parallelism", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return ap
 
@@ -101,58 +95,46 @@ def _write(text: str, out: Path | None):
         out.write_text(text)
 
 
-def _require_positive(args, *names):
-    for name in names:
-        value = getattr(args, name)
-        if value < 1:
-            raise ConfigError(f"--{name} must be a positive integer, got {value}")
-
-
 def _params_from(args) -> SystemParams:
     return SystemParams(omega=args.omega, accel=args.accel, z=args.z, l=args.l,
                         gamma0=args.gamma0)
 
 
-def _variants(args):
-    return ("without_D",) if args.no_d else ("with_D", "without_D")
+def _coefficients(args, params: SystemParams):
+    coeffs = compute_coefficients(params)
+    return coeffs.without_d() if args.no_d else coeffs
 
 
-def _single_point_result(args, quantity: str) -> SweepResult:
-    fixed = {"z_omega": args.z * args.omega, "a_over_omega": args.accel / args.omega,
-             "l_omega": args.l * args.omega}
-    axis = "z_omega"
-    grid = (fixed.pop(axis),)
-    spec = SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
-                     variants=_variants(args))
-    return run_sweep(spec)
+def _point_spec(args, params: SystemParams, quantity: str, tau=None) -> SweepSpec:
+    """The sweep of a single-configuration command: over its one omega*z
+    value, or over the tau grid `tau`."""
+    fixed = {"z_omega": params.z * params.omega,
+             "a_over_omega": params.accel / params.omega,
+             "l_omega": params.l * params.omega}
+    axis, grid = ("z_omega", (fixed.pop("z_omega"),)) if tau is None else ("tau", tau)
+    return SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
+                     variants=("without_D",) if args.no_d else VARIANTS)
 
 
 def cmd_coefficients(args) -> int:
-    coeffs = compute_coefficients(_params_from(args))
-    if args.no_d:
-        coeffs = coeffs.without_d()
+    params = _params_from(args)
     if args.format == "text":
+        coeffs = _coefficients(args, params)
         for name in ("a1", "a2", "b1", "b2", "d"):
             print(f"{name} = {getattr(coeffs, name):.12g}")
     else:
-        result = _single_point_result(args, "coefficients")
-        _write(render_csv(result) if args.format == "csv" else render_json(result),
-               args.out)
+        emit(run_sweep(_point_spec(args, params, "coefficients")), args.format, args.out)
     return 0
 
 
 def cmd_rate(args) -> int:
-    coeffs = compute_coefficients(_params_from(args))
-    if args.no_d:
-        coeffs = coeffs.without_d()
-    report = generation_rate(coeffs)
+    params = _params_from(args)
     if args.format == "text":
+        report = generation_rate(_coefficients(args, params))
         print(f"rate = {report.rate:.12g}")
         print(f"generates = {report.generates}")
     else:
-        result = _single_point_result(args, "rate")
-        _write(render_csv(result) if args.format == "csv" else render_json(result),
-               args.out)
+        emit(run_sweep(_point_spec(args, params, "rate")), args.format, args.out)
     return 0
 
 
@@ -167,23 +149,14 @@ def cmd_evolve(args) -> int:
         grid = tuple(np.linspace(0.0, t_end, args.points))
     else:
         grid = tuple(default_time_grid(coeffs, t_end))
-    fixed = {"z_omega": args.z * args.omega, "a_over_omega": args.accel / args.omega,
-             "l_omega": args.l * args.omega}
-    spec = SweepSpec(axis="tau", grid=grid, fixed=fixed, quantity="concurrence_t",
-                     variants=_variants(args))
-    result = run_sweep(spec)
-    _write(render_csv(result) if args.format == "csv" else render_json(result),
-           args.out)
+    emit(run_sweep(_point_spec(args, params, "concurrence_t", grid)), args.format, args.out)
     return 0
 
 
 def cmd_cmax(args) -> int:
     params = _params_from(args)
-    coeffs = compute_coefficients(params)
-    if args.no_d:
-        coeffs = coeffs.without_d()
     tau_star, c_max = max_concurrence(params, horizon=args.horizon, tol=args.tol,
-                                      coeffs=coeffs)
+                                      coeffs=_coefficients(args, params))
     if args.format == "text":
         print(f"tau_star = {tau_star:.12g}")
         print(f"c_max = {c_max:.12g}")
@@ -208,14 +181,10 @@ def _load_spec(path: Path) -> SweepSpec:
 
 
 def cmd_sweep(args) -> int:
-    _require_positive(args, "parallelism")
     spec = _load_spec(args.spec)
     if args.no_d:
-        spec = SweepSpec(axis=spec.axis, grid=spec.grid, fixed=spec.fixed,
-                         quantity=spec.quantity, variants=("without_D",))
-    result = run_sweep(spec, parallelism=args.parallelism)
-    _write(render_csv(result) if args.format == "csv" else render_json(result),
-           args.out)
+        spec = replace(spec, variants=("without_D",))
+    emit(run_sweep(spec), args.format, args.out)
     return 0
 
 
@@ -228,21 +197,21 @@ def _panel_slug(specs, index: int) -> str:
 
 
 def cmd_figure(args) -> int:
-    _require_positive(args, "points", "parallelism")
+    if args.points < 1:
+        raise ConfigError(f"--points must be a positive integer, got {args.points}")
     specs = preset(args.number, points=args.points)
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
     for i, spec in enumerate(specs):
-        result = run_sweep(spec, parallelism=args.parallelism)
+        result = run_sweep(spec)
         slug = _panel_slug(specs, i)
         for variant in spec.variants:
             rows = [r for r in result.rows if r.variant == variant]
             stem = f"fig{args.number}_{slug}_{variant}" if slug else \
                 f"fig{args.number}_{variant}"
             path = args.out / f"{stem}.{args.format}"
-            echo = SweepSpec(axis=spec.axis, grid=spec.grid, fixed=spec.fixed,
-                             quantity=spec.quantity, variants=(variant,))
-            emit(SweepResult(spec=echo, rows=rows), args.format, path)
+            emit(SweepResult(spec=replace(spec, variants=(variant,)), rows=rows),
+                 args.format, path)
             written.append(path)
     for path in written:
         print(path)
@@ -266,7 +235,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

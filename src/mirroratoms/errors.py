@@ -15,3 +15,9 @@ class InvariantError(RuntimeError):
 
 class DegenerateKernelError(RuntimeError):
     """The population generator has a multidimensional null space."""
+
+
+# Errors of a numerical evaluation: a sweep records them as a row marker and
+# the command line exits 3 on them.
+NUMERICAL_ERRORS = (DomainError, ConvergenceError, InvariantError,
+                    DegenerateKernelError)

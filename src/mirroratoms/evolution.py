@@ -191,6 +191,8 @@ def _check_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise DomainError("times must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(t)):
+        raise DomainError("times must be finite")
     if t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
         raise DomainError("times must be nonnegative and strictly increasing")
     return t

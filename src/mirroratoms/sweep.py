@@ -2,9 +2,10 @@
 a/omega, omega*L, tau) plus presets that regenerate the survey figures as
 CSV/JSON data files.
 
-Every sweep evaluates its quantity twice per grid point when both variants
-are requested: once with the full coefficient set and once with the coherent
-interatomic coupling d forced to zero (the "without interaction" curve).
+Every sweep computes the coefficients once per grid point and evaluates its
+quantity twice when both variants are requested: once with the full
+coefficient set and once with the coherent interatomic coupling d forced to
+zero (the "without interaction" curve).
 Rows are deterministic: ordered by grid point, with_D before without_D, and
 floats are serialized with 17 significant digits so emitted files are
 byte-stable and round-trippable.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,8 +24,7 @@ import numpy as np
 from . import __version__
 from .concurrence import generation_rate, max_concurrence
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
-from .errors import (ConvergenceError, DegenerateKernelError, DomainError,
-                     InvariantError)
+from .errors import NUMERICAL_ERRORS, DomainError
 from .evolution import (default_time_grid, evolve_closed, prepare_initial,
                         tau_horizon)
 
@@ -32,8 +32,6 @@ AXES = ("z_omega", "a_over_omega", "l_omega", "tau")
 QUANTITIES = ("rate", "cmax", "concurrence_t", "coefficients")
 VARIANTS = ("with_D", "without_D")
 _DIM_KEYS = ("z_omega", "a_over_omega", "l_omega")
-
-_ROW_ERRORS = (DomainError, ConvergenceError, InvariantError, DegenerateKernelError)
 
 _UNITS = {"rates": "gamma0", "times": "1/gamma0", "lengths": "1/omega"}
 
@@ -60,7 +58,13 @@ class SweepSpec:
         if (self.quantity == "concurrence_t") != (self.axis == "tau"):
             raise DomainError("quantity 'concurrence_t' goes with axis 'tau' and only with it")
 
-        grid = tuple(float(g) for g in self.grid)
+        try:
+            grid = tuple(float(g) for g in self.grid)
+            fixed = {str(k): float(v) for k, v in dict(self.fixed).items()}
+            variants = tuple(dict.fromkeys(self.variants))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError("grid and fixed must hold numbers, variants names: "
+                              f"{exc}") from None
         if not grid:
             raise DomainError("grid must be nonempty")
         if not all(math.isfinite(g) for g in grid):
@@ -73,14 +77,12 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
 
         needed = set(_DIM_KEYS) if self.axis == "tau" else set(_DIM_KEYS) - {self.axis}
-        fixed = {str(k): float(v) for k, v in dict(self.fixed).items()}
         if set(fixed) != needed:
             raise DomainError(f"fixed must supply exactly {sorted(needed)}, got {sorted(fixed)}")
         if any(v <= 0.0 or not math.isfinite(v) for v in fixed.values()):
             raise DomainError("fixed parameters must be finite and positive")
         object.__setattr__(self, "fixed", fixed)
 
-        variants = tuple(dict.fromkeys(self.variants))
         if not variants or any(v not in VARIANTS for v in variants):
             raise DomainError(f"variants must be a nonempty subset of {VARIANTS}")
         # deterministic ordering: with_D first
@@ -94,15 +96,16 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepSpec":
+        if not isinstance(doc, dict):
+            raise DomainError("sweep config must be a JSON object")
         unknown = set(doc) - {"axis", "grid", "fixed", "quantity", "variants"}
         if unknown:
             raise DomainError(f"unknown sweep config keys: {sorted(unknown)}")
         for key in ("axis", "grid", "fixed", "quantity"):
             if key not in doc:
                 raise DomainError(f"sweep config missing key {key!r}")
-        return cls(axis=doc["axis"], grid=tuple(doc["grid"]), fixed=doc["fixed"],
-                   quantity=doc["quantity"],
-                   variants=tuple(doc.get("variants", VARIANTS)))
+        return cls(axis=doc["axis"], grid=doc["grid"], fixed=doc["fixed"],
+                   quantity=doc["quantity"], variants=doc.get("variants", VARIANTS))
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,17 @@ def _params_at(spec: SweepSpec, axis_value: float) -> SystemParams:
 
 
 def _evaluate_point(spec: SweepSpec, axis_value: float) -> list:
+    """The rows of one grid point: the coefficients once, then the quantity
+    per variant. A failure of the coefficients marks every variant's row."""
+    try:
+        params = _params_at(spec, axis_value)
+        full = compute_coefficients(params)
+    except NUMERICAL_ERRORS as exc:
+        return [SweepRow(axis_value, v, None, None, error=str(exc)) for v in spec.variants]
     rows = []
     for variant in spec.variants:
-        coeffs = None
+        coeffs = full.without_d() if variant == "without_D" else full
         try:
-            params = _params_at(spec, axis_value)
-            coeffs = compute_coefficients(params)
-            if variant == "without_D":
-                coeffs = coeffs.without_d()
             if spec.quantity == "coefficients":
                 value = None
             elif spec.quantity == "rate":
@@ -151,7 +157,7 @@ def _evaluate_point(spec: SweepSpec, axis_value: float) -> list:
                 value = float(evolve_closed(prepare_initial("ten"), coeffs,
                                             [axis_value]).concurrence[0])
             rows.append(SweepRow(axis_value, variant, value, coeffs))
-        except _ROW_ERRORS as exc:
+        except NUMERICAL_ERRORS as exc:
             rows.append(SweepRow(axis_value, variant, None, coeffs, error=str(exc)))
     return rows
 
@@ -168,29 +174,24 @@ def _tau_rows(spec: SweepSpec) -> list:
             c = coeffs.without_d() if variant == "without_D" else coeffs
             curves.append((variant, c, evolve_closed(prepare_initial("ten"), c,
                                                      spec.grid).concurrence))
-    except _ROW_ERRORS:
-        return [row for g in spec.grid for row in _evaluate_point(spec, g)]
+    except NUMERICAL_ERRORS:
+        return _pointwise(spec)
     return [SweepRow(g, variant, float(conc[i]), c)
             for i, g in enumerate(spec.grid) for variant, c, conc in curves]
 
 
-def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
-    """Evaluate the sweep; results are independent of `parallelism`, which
-    tau sweeps ignore.
+def _pointwise(spec: SweepSpec) -> list:
+    return [row for g in spec.grid for row in _evaluate_point(spec, g)]
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the sweep, grid point major and with_D first.
 
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
-    if int(parallelism) != parallelism or parallelism < 1:
-        raise DomainError(f"parallelism must be a positive integer, got {parallelism}")
-    if spec.axis == "tau":
-        return SweepResult(spec=spec, rows=_tau_rows(spec))
-    if parallelism == 1:
-        chunks = [_evaluate_point(spec, g) for g in spec.grid]
-    else:
-        with ThreadPoolExecutor(max_workers=int(parallelism)) as pool:
-            chunks = list(pool.map(lambda g: _evaluate_point(spec, g), spec.grid))
-    return SweepResult(spec=spec, rows=[row for chunk in chunks for row in chunk])
+    rows = _tau_rows(spec) if spec.axis == "tau" else _pointwise(spec)
+    return SweepResult(spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +356,18 @@ def render_json(result: SweepResult) -> str:
     return "\n".join(out) + "\n"
 
 
-def emit(result: SweepResult, format: str, path) -> Path:
-    """Write the result as CSV or JSON; returns the path written."""
+def emit(result: SweepResult, format: str, path=None) -> Path | None:
+    """Write the result as CSV or JSON to `path`, or to stdout when `path` is
+    None; returns the path written."""
     if format == "csv":
         text = render_csv(result)
     elif format == "json":
         text = render_json(result)
     else:
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
+    if path is None:
+        sys.stdout.write(text)
+        return None
     path = Path(path)
     path.write_text(text)
     return path

@@ -115,7 +115,17 @@ def test_exit_code_config(tmp_path, capsys):
     invalid.write_text(json.dumps({"axis": "bogus", "grid": [1],
                                    "fixed": {}, "quantity": "rate"}))
     assert main(["sweep", "--spec", str(invalid)]) == 2
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("5")
+    assert main(["sweep", "--spec", str(scalar)]) == 2
     capsys.readouterr()
+    rate = {"axis": "z_omega", "grid": [0.4], "quantity": "rate",
+            "fixed": {"a_over_omega": 1.0, "l_omega": 0.3}}
+    for change in ({"grid": ["abc"]}, {"grid": [None]},
+                   {"fixed": {"a_over_omega": "x", "l_omega": 0.3}}):
+        invalid.write_text(json.dumps({**rate, **change}))
+        assert main(["sweep", "--spec", str(invalid)]) == 2
+        assert "must hold numbers" in capsys.readouterr().err
 
 
 def test_non_positive_counts_exit_2(tmp_path, capsys):
@@ -124,8 +134,6 @@ def test_non_positive_counts_exit_2(tmp_path, capsys):
         "axis": "z_omega", "grid": [0.4],
         "fixed": {"a_over_omega": 1.0, "l_omega": 0.3}, "quantity": "rate"}))
     assert main(["figure", "2", "--points", "0", "--out", str(tmp_path)]) == 2
-    assert main(["figure", "2", "--parallelism", "0", "--out", str(tmp_path)]) == 2
-    assert main(["sweep", "--spec", str(cfg), "--parallelism", "0"]) == 2
     assert "must be a positive integer" in capsys.readouterr().err
     assert not list(tmp_path.glob("fig2_*"))
 
@@ -137,6 +145,29 @@ def test_sweep_non_finite_grid_exits_2(tmp_path, capsys, bad):
                    '"fixed": {"z_omega": 0.4, "a_over_omega": 1.0, "l_omega": 0.3}}' % bad)
     assert main(["sweep", "--spec", str(cfg)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["coefficients", "rate", "evolve", "sweep"])
+def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, command, fmt):
+    if command == "sweep":
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({
+            "axis": "z_omega", "grid": [0.2, 0.4],
+            "fixed": {"a_over_omega": 1.0, "l_omega": 0.3}, "quantity": "rate"}))
+        argv = ["sweep", "--spec", str(cfg)]
+    else:
+        argv = [command, *ANCHOR]
+        if command == "evolve":
+            argv += ["--t-end", "1.0", "--points", "4"]
+    argv += ["--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed
+    assert printed.startswith(b"axis_value," if fmt == "csv" else b"{")
 
 
 def test_argparse_errors_exit_2():

@@ -161,6 +161,9 @@ def test_evolve_closed_time_validation(anchor_params):
         evolve_closed(s0, c, [-1.0, 0.5])
     with pytest.raises(DomainError):
         evolve_closed(s0, c, [])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="times must be finite"):
+            evolve_closed(s0, c, [0.0, bad])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,6 +1,5 @@
 """Sweep specs, deterministic execution, figure presets, and serialization."""
 
-import numpy as np
 import pytest
 
 import mirroratoms.sweep as sweep_mod
@@ -92,14 +91,42 @@ def test_rows_ordered_grid_major_with_d_first():
     assert [r.axis_value for r in result.rows] == [0.2, 0.2, 0.4, 0.4, 1.0, 1.0]
 
 
-def test_parallelism_does_not_change_bytes():
-    spec = rate_spec(grid=tuple(np.linspace(0.1, 5.0, 50)))
-    serial = run_sweep(spec, parallelism=1)
-    pooled = run_sweep(spec, parallelism=8)
-    assert render_csv(serial) == render_csv(pooled)
-    assert render_json(serial) == render_json(pooled)
-    with pytest.raises(DomainError):
-        run_sweep(spec, parallelism=0)
+def _count_coefficient_calls(monkeypatch) -> list:
+    calls = []
+    real = sweep_mod.compute_coefficients
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(sweep_mod, "compute_coefficients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("quantity", ["rate", "cmax"])
+def test_coefficients_computed_once_per_grid_point(monkeypatch, quantity):
+    spec = SweepSpec(axis="z_omega", grid=(0.4, 1.0),
+                     fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity=quantity)
+    calls = _count_coefficient_calls(monkeypatch)
+    result = run_sweep(spec)
+    assert len(calls) == len(spec.grid)
+    assert len(result.rows) == 2 * len(spec.grid)
+    assert all(r.error is None for r in result.rows)
+
+
+def test_coefficient_failure_marks_every_variant(monkeypatch):
+    calls = []
+
+    def refused(params):
+        calls.append(params)
+        raise DomainError("forced coefficient failure")
+
+    monkeypatch.setattr(sweep_mod, "compute_coefficients", refused)
+    result = run_sweep(rate_spec(grid=(0.4,)))
+    assert len(calls) == 1
+    assert [(r.variant, r.value, r.coeffs, r.error) for r in result.rows] == [
+        ("with_D", None, None, "forced coefficient failure"),
+        ("without_D", None, None, "forced coefficient failure")]
 
 
 def test_row_errors_are_local(monkeypatch):
@@ -151,7 +178,7 @@ def test_tau_sweep_calls_evolve_once_per_variant(monkeypatch):
         return real(initial, coeffs, times)
 
     monkeypatch.setattr(sweep_mod, "evolve_closed", counted)
-    run_sweep(spec, parallelism=2)
+    run_sweep(spec)
     assert stamps == [len(spec.grid)] * len(spec.variants)
 
 
