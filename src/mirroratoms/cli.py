@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concurrence import generation_rate, max_concurrence
+from .concurrence import TOL_RANGE, generation_rate, max_concurrence
 from .correlations import SystemParams, compute_coefficients
 from .errors import NUMERICAL_ERRORS, DomainError
 from .evolution import default_time_grid, tau_horizon
@@ -105,6 +106,12 @@ def _coefficients(args, params: SystemParams):
     return coeffs.without_d() if args.no_d else coeffs
 
 
+def _check_positive(flag: str, value: float | None):
+    """A time flag, when given, must be finite and > 0, as the library requires."""
+    if value is not None and not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+
+
 def _point_spec(args, params: SystemParams, quantity: str, tau=None) -> SweepSpec:
     """The sweep of a single-configuration command: over its one omega*z
     value, or over the tau grid `tau`."""
@@ -139,6 +146,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    _check_positive("--t-end", args.t_end)
     params = _params_from(args)
     coeffs = compute_coefficients(params)
     horizon = tau_horizon(coeffs)  # also rejects a1 <= 0 under an explicit --t-end
@@ -154,6 +162,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_cmax(args) -> int:
+    if not (TOL_RANGE[0] <= args.tol <= TOL_RANGE[1]):
+        raise ConfigError(f"--tol must lie in [1e-10, 1e-4], got {args.tol}")
+    _check_positive("--horizon", args.horizon)
     params = _params_from(args)
     tau_star, c_max = max_concurrence(params, horizon=args.horizon, tol=args.tol,
                                       coeffs=_coefficients(args, params))

@@ -25,6 +25,7 @@ _DENSE_BUDGET = 5_000_000
 _TAIL_SAMPLES = 2000
 _SECTIONS = 64
 _MAX_ROUNDS = 32  # the sectioning reaches its width floor within 12 rounds
+TOL_RANGE = (1e-10, 1e-4)  # refinement tolerances max_concurrence accepts
 
 # coupled-basis kets (columns) written in the product basis |00>,|01>,|10>,|11>
 _SQ = 1.0 / math.sqrt(2.0)
@@ -218,7 +219,7 @@ def max_concurrence(params: SystemParams, horizon: float | None = None,
     sits at the horizon; raises ConvergenceError when the coherence window
     needs more than _DENSE_BUDGET samples. Returns (tau_star, c_max).
     """
-    if not (1e-10 <= tol <= 1e-4):
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
         raise DomainError(f"tol must lie in [1e-10, 1e-4], got {tol}")
     if coeffs is None:
         coeffs = compute_coefficients(params)

@@ -15,7 +15,7 @@ dimensionless combinations omega*z, omega*L and accel/omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -74,13 +74,14 @@ class CoefficientSet:
     d: float
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2", "d"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"coefficient {name} must be finite")
+        if not all(map(math.isfinite, (self.a1, self.a2, self.b1, self.b2, self.d))):
+            for name in ("a1", "a2", "b1", "b2", "d"):
+                if not math.isfinite(getattr(self, name)):
+                    raise DomainError(f"coefficient {name} must be finite")
 
     def without_d(self) -> "CoefficientSet":
         """Same dissipative rates with the coherent coupling d forced to 0."""
-        return replace(self, d=0.0)
+        return CoefficientSet(self.a1, self.a2, self.b1, self.b2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,12 +113,7 @@ def kernel_f(omega: float, accel: float, d: float) -> float:
     For accel = 0 (or accel*d < INERTIAL_SWITCH) the inertial closed form
     sin(2*omega*d)/(2*omega*d) is used. Result lies in [-1, 1].
     """
-    _check_kernel_args(omega, accel, d)
-    if accel * d < INERTIAL_SWITCH:
-        x = 2.0 * omega * d
-        return math.sin(x) / x
-    return math.sin((2.0 * omega / accel) * math.asinh(accel * d)) / (
-        2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0))
+    return _kernel_pair(omega, accel, d)[0]
 
 
 def kernel_h(omega: float, accel: float, d: float) -> float:
@@ -128,11 +124,19 @@ def kernel_h(omega: float, accel: float, d: float) -> float:
     Diverges as 1/(2*omega*d) for d -> 0+; callers must keep d bounded away
     from zero (the contact divergence is physical and is not regularized).
     """
+    return _kernel_pair(omega, accel, d)[1]
+
+
+def _kernel_pair(omega: float, accel: float, d: float) -> tuple:
+    """(kernel_f, kernel_h) at one distance, from one phase and one
+    denominator; the one implementation of both kernels."""
     _check_kernel_args(omega, accel, d)
     if accel * d < INERTIAL_SWITCH:
-        return math.cos(2.0 * omega * d) / (2.0 * omega * d)
-    return math.cos((2.0 * omega / accel) * math.asinh(accel * d)) / (
-        2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0))
+        x = 2.0 * omega * d
+        return math.sin(x) / x, math.cos(x) / x
+    phase = (2.0 * omega / accel) * math.asinh(accel * d)
+    denom = 2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)
+    return math.sin(phase) / denom, math.cos(phase) / denom
 
 
 def _check_kernel_args(omega, accel, d):
@@ -180,9 +184,11 @@ def compute_coefficients(params: SystemParams) -> CoefficientSet:
     quarter = params.gamma0 / 4.0
     thermal = coth(math.pi * om / a) if a > 0.0 else 1.0
     diag = math.sqrt(l * l / 4.0 + z * z)
+    f_half, h_half = _kernel_pair(om, a, l / 2.0)
+    f_diag, h_diag = _kernel_pair(om, a, diag)
     bracket_self = 1.0 - kernel_f(om, a, z)
-    bracket_cross = kernel_f(om, a, l / 2.0) - kernel_f(om, a, diag)
-    d_cross = kernel_h(om, a, l / 2.0) - kernel_h(om, a, diag)
+    bracket_cross = f_half - f_diag
+    d_cross = h_half - h_diag
     return CoefficientSet(
         a1=quarter * thermal * bracket_self,
         a2=quarter * thermal * bracket_cross,

@@ -283,7 +283,7 @@ _PRESET_QUANTITY = {2: "rate", 3: "rate", 4: "rate", 5: "concurrence_t",
 # serialization (17 significant digits, byte-stable)
 
 def _fnum(x) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x  # format(float(x), ".17g") for every int and float x
 
 
 def _row_cells(row: SweepRow) -> list:
@@ -301,9 +301,29 @@ def _row_cells(row: SweepRow) -> list:
     ]
 
 
+def _complete_values(row: SweepRow):
+    """The values of a complete row (a value, coefficients, no error and a
+    variant that needs no quoting) in column order, for the one-template
+    renderings below; None for any other row, which goes cell by cell."""
+    c = row.coeffs
+    if (row.error is None and row.value is not None and c is not None
+            and row.variant in VARIANTS):
+        return (row.axis_value, row.variant, row.value, c.a1, c.a2, c.b1, c.b2, c.d)
+    return None
+
+
+# a complete row has a float in every column but the variant, and no error
+_COMPLETE_CELL = {"variant": "%s", "error_marker": ""}
+_CSV_ROW = ",".join(_COMPLETE_CELL.get(col, "%.17g") for col in CSV_COLUMNS)
+
+
 def render_csv(result: SweepResult) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in result.rows:
+        values = _complete_values(row)
+        if values is not None:
+            lines.append(_CSV_ROW % values)
+            continue
         cells = _row_cells(row)
         if any("," in cell or '"' in cell or "\n" in cell for cell in cells):
             cells = ['"' + cell.replace('"', '""') + '"' if
@@ -319,6 +339,11 @@ def _jstr(s) -> str:
 
 def _jnum(x) -> str:
     return "null" if x is None else _fnum(x)
+
+
+_JSON_CELLS = ('    {"axis_value": %s, "variant": %s, "quantity": %s, '
+               '"a1": %s, "a2": %s, "b1": %s, "b2": %s, "d": %s, "error_marker": %s}')
+_JSON_ROW = _JSON_CELLS % ("%.17g", '"%s"', *["%.17g"] * 6, "null")
 
 
 def render_json(result: SweepResult) -> str:
@@ -342,10 +367,13 @@ def render_json(result: SweepResult) -> str:
     ]
     body = []
     for row in result.rows:
+        values = _complete_values(row)
+        if values is not None:
+            body.append(_JSON_ROW % values)
+            continue
         c = row.coeffs
         body.append(
-            '    {"axis_value": %s, "variant": %s, "quantity": %s, '
-            '"a1": %s, "a2": %s, "b1": %s, "b2": %s, "d": %s, "error_marker": %s}'
+            _JSON_CELLS
             % (_fnum(row.axis_value), _jstr(row.variant), _jnum(row.value),
                _jnum(None if c is None else c.a1), _jnum(None if c is None else c.a2),
                _jnum(None if c is None else c.b1), _jnum(None if c is None else c.b2),
@@ -374,8 +402,9 @@ def emit(result: SweepResult, format: str, path=None) -> Path | None:
 
 
 def load_result(path) -> SweepResult:
-    """Parse a JSON file produced by emit back into a SweepResult."""
-    doc = json.loads(Path(path).read_text())
+    """Parse a JSON file produced by emit back into a SweepResult. Every number
+    is read as a float: emit writes -0.0 as "-0", which json would read as 0."""
+    doc = json.loads(Path(path).read_text(), parse_int=float)
     spec = SweepSpec.from_dict(doc["metadata"]["spec"])
     rows = []
     for r in doc["rows"]:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,17 @@ def test_exit_code_config(tmp_path, capsys):
         assert "must hold numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cmax", "--tol", "0"], ["cmax", "--tol", "nan"], ["cmax", "--tol", "1e-3"],
+    ["cmax", "--horizon", "inf"], ["cmax", "--horizon", "0"], ["cmax", "--horizon", "nan"],
+    ["evolve", "--t-end", "-1"], ["evolve", "--t-end", "0", "--points", "3"],
+    ["evolve", "--t-end", "inf"],
+], ids=" ".join)
+def test_bad_solver_flags_exit_2(capsys, argv):
+    assert main([*argv, *ANCHOR]) == 2
+    assert f"error: {argv[1]} must" in capsys.readouterr().err
+
+
 def test_non_positive_counts_exit_2(tmp_path, capsys):
     cfg = tmp_path / "spec.json"
     cfg.write_text(json.dumps({
@@ -177,3 +189,33 @@ def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["rate", "--z", "0.4"])  # missing --l
     assert info.value.code == 2
+
+
+# SHA-256 of each figure's output files, concatenated in file-name order.
+_FIGURE_DIGESTS = {
+    ("2", "--points", "9", "--format", "json"):
+        "b5e0dc9ec284c6bdaa8bd88eeb98e6fcda365d0a2a1e59f919199e9946358238",
+    ("3", "--points", "9", "--format", "json"):
+        "eedc909cb05f4839ca5c2e73b815f151d8ef3afba14cda316507215c2ca197db",
+    ("4", "--points", "9", "--format", "json"):
+        "5b4ad821df1491afb2365e04e6d2d9155eb7c13e5c4773a09bbd3f67d44e0085",
+    ("5", "--format", "csv"):
+        "eec8b0c32cf6219944fabab9c8fc13bb53701ab19652e5cf61f7f49d09729d61",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(_FIGURE_DIGESTS), ids=lambda f: f"fig{f[0]}")
+def test_figure_bytes_are_pinned(tmp_path, capsys, figure):
+    """The emitted bytes of figures 2-5 against digests recorded before the
+    row templates and the kernel pair replaced per-cell formatting and per-
+    kernel calls. The digests belong to the libm they were recorded with
+    (glibc 2.36, x86_64, numpy 2.4.6): another libm may round sin, cos,
+    asinh or exp differently in the last bit. A change that alters rows on
+    purpose updates the digests here and names the rows that changed."""
+    out = tmp_path / "out"
+    assert main(["figure", figure[0], "--out", str(out), *figure[1:]]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == _FIGURE_DIGESTS[figure]

@@ -1,15 +1,17 @@
 """Kernels, spectra and the reduced coefficient set against the
 high-precision reference."""
 
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mirroratoms import (DomainError, SystemParams, compute_coefficients,
+from mirroratoms import (CoefficientSet, DomainError, SystemParams, compute_coefficients,
                          coth, kernel_f, kernel_h, spectral_density)
-from mirroratoms.correlations import INERTIAL_SWITCH
+from mirroratoms.correlations import INERTIAL_SWITCH, _kernel_pair
 
 import reference as ref
 
@@ -131,6 +133,70 @@ def test_inertial_branch_agreement_bound(kernel):
                 assert diff <= 1.01 * ad * ad * (om * d / 3.0 + 0.5) + 1e-14
 
 
+def _bits(*values):
+    return [float.hex(v) for v in values]
+
+
+def _separate_kernels(omega, accel, d):
+    """kernel_f and kernel_h each written out on its own, as in the docstrings:
+    the shared phase and denominator must not change a bit of either."""
+    if accel * d < INERTIAL_SWITCH:
+        x = 2.0 * omega * d
+        return math.sin(x) / x, math.cos(2.0 * omega * d) / (2.0 * omega * d)
+    return (math.sin((2.0 * omega / accel) * math.asinh(accel * d))
+            / (2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)),
+            math.cos((2.0 * omega / accel) * math.asinh(accel * d))
+            / (2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(omega=st.floats(1e-3, 1e3), d=st.floats(1e-6, 1e4),
+       accel=st.one_of(st.just(0.0), st.floats(0.0, 1e2)), near_switch=st.booleans(),
+       ratio=st.floats(0.5, 2.0))
+def test_kernel_pair_is_bitwise_kernel_f_and_h(omega, d, accel, near_switch, ratio):
+    if near_switch:  # accel*d within a factor 2 of INERTIAL_SWITCH, either side
+        accel = ratio * INERTIAL_SWITCH / d
+    assert _bits(*_kernel_pair(omega, accel, d)) == \
+        _bits(kernel_f(omega, accel, d), kernel_h(omega, accel, d)) == \
+        _bits(*_separate_kernels(omega, accel, d))
+
+
+def test_kernel_pair_takes_both_branches_at_the_switch():
+    d = 0.7
+    below, above = INERTIAL_SWITCH * (1.0 - 1e-12) / d, INERTIAL_SWITCH / d
+    assert below * d < INERTIAL_SWITCH <= above * d
+    for accel in (0.0, below, above):
+        assert _bits(*_kernel_pair(1.3, accel, d)) == \
+            _bits(kernel_f(1.3, accel, d), kernel_h(1.3, accel, d)) == \
+            _bits(*_separate_kernels(1.3, accel, d))
+    with pytest.raises(DomainError):
+        _kernel_pair(1.0, 1.0, 0.0)
+
+
+_RATE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=st.builds(CoefficientSet, _RATE, _RATE, _RATE, _RATE, _RATE))
+def test_without_d_equals_replace(c):
+    lean = c.without_d()
+    assert type(lean) is CoefficientSet
+    assert lean == dataclasses.replace(c, d=0.0)
+    assert _bits(*dataclasses.astuple(lean)) == \
+        _bits(*dataclasses.astuple(dataclasses.replace(c, d=0.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["a1", "a2", "b1", "b2", "d"])
+def test_coefficient_set_names_the_non_finite_field(field, bad):
+    values = {"a1": 0.1, "a2": 0.05, "b1": 0.1, "b2": 0.05, "d": 0.2, field: bad}
+    with pytest.raises(DomainError, match=f"coefficient {field} must be finite"):
+        CoefficientSet(**values)
+    if field != "d":
+        with pytest.raises(DomainError, match=f"coefficient {field} must be finite"):
+            CoefficientSet(**{**values, "d": math.nan})  # the first bad field
+
+
 # --- coth ----------------------------------------------------------------
 
 def test_coth_detailed_balance_identity():
@@ -240,3 +306,15 @@ def test_system_params_validation():
                                         l_omega=0.6, omega=2.0)
     assert p.z == pytest.approx(0.4) and p.accel == pytest.approx(1.0)
     assert p.l == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field", ["omega", "accel", "z", "l", "gamma0"])
+def test_system_params_names_each_bad_field(field, bad):
+    values = {"omega": 1.0, "accel": 1.0, "z": 0.4, "l": 0.3, "gamma0": 1.0}
+    if field == "accel" and bad == 0.0:
+        assert SystemParams(**{**values, "accel": bad}).accel == 0.0
+        assert SystemParams(**{**values, "accel": -0.0}).accel == 0.0
+        return
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        SystemParams(**{**values, field: bad})

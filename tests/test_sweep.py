@@ -1,12 +1,17 @@
 """Sweep specs, deterministic execution, figure presets, and serialization."""
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mirroratoms.sweep as sweep_mod
-from mirroratoms import (DomainError, InvariantError, SweepResult, SweepSpec,
-                         SystemParams, compute_coefficients, emit,
-                         generation_rate, load_result, preset, run_sweep)
-from mirroratoms.sweep import render_csv, render_json
+from mirroratoms import (CoefficientSet, DomainError, InvariantError, SweepResult,
+                         SweepRow, SweepSpec, SystemParams, compute_coefficients,
+                         emit, generation_rate, load_result, preset, run_sweep)
+from mirroratoms.sweep import (CSV_COLUMNS, _fnum, _jnum, _jstr, _row_cells,
+                               render_csv, render_json)
 
 
 def rate_spec(grid=(0.2, 0.4, 1.0), variants=("with_D", "without_D")):
@@ -287,10 +292,97 @@ def test_emit_rejects_unknown_format(tmp_path):
 
 
 def test_json_carries_metadata(tmp_path):
-    import json
     path = emit(run_sweep(rate_spec(grid=(0.4,))), "json", tmp_path / "m.json")
     doc = json.loads(path.read_text())
     assert doc["metadata"]["spec"]["axis"] == "z_omega"
     assert doc["metadata"]["units"]["rates"] == "gamma0"
     assert set(doc["rows"][0]) == {"axis_value", "variant", "quantity", "a1",
                                    "a2", "b1", "b2", "d", "error_marker"}
+
+
+# --- the row templates against cell-by-cell rendering ---------------------------
+
+def _csv_by_cell(result):
+    lines = [",".join(CSV_COLUMNS)]
+    for row in result.rows:
+        cells = ['"' + cell.replace('"', '""') + '"'
+                 if ("," in cell or '"' in cell or "\n" in cell) else cell
+                 for cell in _row_cells(row)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _json_by_cell(result):
+    spec = result.spec.to_dict()
+    fixed = ", ".join(f"{_jstr(k)}: {_jnum(v)}" for k, v in spec["fixed"].items())
+    grid = ", ".join(_jnum(g) for g in spec["grid"])
+    variants = ", ".join(_jstr(v) for v in spec["variants"])
+    units = '"lengths": "1/omega", "rates": "gamma0", "times": "1/gamma0"'
+    rows = []
+    for row in result.rows:
+        c = row.coeffs
+        coeffs = [None] * 5 if c is None else [c.a1, c.a2, c.b1, c.b2, c.d]
+        rows.append(
+            '    {"axis_value": %s, "variant": %s, "quantity": %s, '
+            '"a1": %s, "a2": %s, "b1": %s, "b2": %s, "d": %s, "error_marker": %s}'
+            % (_fnum(row.axis_value), _jstr(row.variant), _jnum(row.value),
+               *map(_jnum, coeffs), "null" if row.error is None else _jstr(row.error)))
+    return "\n".join([
+        "{", '  "metadata": {',
+        f'    "spec": {{"axis": {_jstr(spec["axis"])}, "grid": [{grid}], '
+        f'"fixed": {{{fixed}}}, "quantity": {_jstr(spec["quantity"])}, '
+        f'"variants": [{variants}]}},',
+        f'    "version": {_jstr(sweep_mod.__version__)},',
+        f'    "units": {{{units}}}', "  },", '  "rows": [', ",\n".join(rows),
+        "  ]", "}"]) + "\n"
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1e308, -1e308, 1.7976931348623157e308]))
+_COEFFS = st.builds(CoefficientSet, _FINITE, _FINITE, _FINITE, _FINITE, _FINITE)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(x=st.one_of(_FINITE, st.integers(-2 ** 1000, 2 ** 1000)))
+def test_fnum_is_format_of_float(x):
+    # the bytes every earlier release wrote for a number
+    assert _fnum(x) == format(float(x), ".17g")
+_ERROR = st.text(alphabet=st.sampled_from('ab ,"\n\'\\;\u00e9'), min_size=1, max_size=12)
+
+
+@st.composite
+def sweep_results(draw):
+    grid = sorted(draw(st.sets(st.floats(5e-324, 1.7976931348623157e308),
+                               min_size=1, max_size=4)))
+    spec = SweepSpec(axis="z_omega", grid=grid, quantity="rate",
+                     fixed={"a_over_omega": draw(st.floats(1e-300, 1e300)),
+                            "l_omega": 0.3})
+    rows = draw(st.lists(st.builds(
+        SweepRow, _FINITE, st.sampled_from(["with_D", "without_D", 'odd,"variant"']),
+        st.none() | _FINITE, st.none() | _COEFFS, st.none() | _ERROR), max_size=8))
+    return SweepResult(spec=spec, rows=rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(result=sweep_results())
+def test_row_templates_match_cell_by_cell_rendering(result):
+    assert render_csv(result) == _csv_by_cell(result)
+    assert render_json(result) == _json_by_cell(result)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(result=sweep_results())
+def test_emit_load_emit_is_byte_identical(tmp_path_factory, result):
+    folder = tmp_path_factory.mktemp("round_trip")
+    first = emit(result, "json", folder / "a.json")
+    again = emit(load_result(first), "json", folder / "b.json")
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_negative_zero_survives_load_result(tmp_path):
+    c = CoefficientSet(-0.0, 0.0, 1.0, -0.0, 0.0)
+    result = SweepResult(spec=rate_spec(), rows=[SweepRow(0.4, "with_D", -0.0, c)])
+    loaded = load_result(emit(result, "json", tmp_path / "z.json")).rows[0]
+    assert [math.copysign(1.0, x) for x in (loaded.value, loaded.coeffs.a1,
+                                            loaded.coeffs.b2)] == [-1.0] * 3
