@@ -8,7 +8,6 @@ from .errors import (ConvergenceError, DegenerateKernelError, DomainError,
 from .correlations import (CoefficientSet, SpectralPair, SystemParams,
                            compute_coefficients, coth, kernel_f, kernel_h,
                            spectral_density)
-from .wightman import default_epsilon_schedule, image_wightman_ft_oracle
 from .evolution import (EvolutionResult, StateDerivative, XState,
                         default_horizon, default_time_grid, evolve_closed,
                         evolve_numeric, population_generator, prepare_initial,
@@ -25,9 +24,8 @@ __all__ = [
     "GenerationReport", "InvariantError", "SpectralPair", "StateDerivative",
     "SweepResult", "SweepRow", "SweepSpec", "SystemParams", "XState",
     "compute_coefficients", "concurrence_general", "concurrence_x", "coth",
-    "default_epsilon_schedule", "default_horizon", "default_time_grid",
-    "emit", "evolve_closed", "evolve_numeric", "generation_rate",
-    "image_wightman_ft_oracle", "k1_closed", "kernel_f", "kernel_h",
+    "default_horizon", "default_time_grid", "emit", "evolve_closed",
+    "evolve_numeric", "generation_rate", "k1_closed", "kernel_f", "kernel_h",
     "load_result", "max_concurrence", "population_generator",
     "prepare_initial", "preset", "rhs", "run_sweep",
     "slowest_relaxation_rate", "spectral_density", "steady_state",

@@ -19,7 +19,7 @@ from . import __version__
 from .concurrence import TOL_RANGE, generation_rate, max_concurrence
 from .correlations import SystemParams, compute_coefficients
 from .errors import NUMERICAL_ERRORS, DomainError
-from .evolution import default_time_grid, tau_horizon
+from .evolution import MAX_GRID_POINTS, default_time_grid, tau_horizon
 from .sweep import VARIANTS, SweepResult, SweepSpec, emit, preset, run_sweep
 
 
@@ -32,9 +32,6 @@ def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--accel", type=float, default=1.0, help="proper acceleration")
     p.add_argument("--z", type=float, required=True, help="atom-boundary distance")
     p.add_argument("--l", type=float, required=True, help="interatomic separation")
-    p.add_argument("--gamma0", type=float, default=1.0,
-                   help="spontaneous-emission normalization; scales direct text "
-                        "output, while csv/json sweeps are normalized to gamma0=1")
     p.add_argument("--no-d", action="store_true",
                    help="zero the coherent interatomic coupling d")
 
@@ -97,8 +94,7 @@ def _write(text: str, out: Path | None):
 
 
 def _params_from(args) -> SystemParams:
-    return SystemParams(omega=args.omega, accel=args.accel, z=args.z, l=args.l,
-                        gamma0=args.gamma0)
+    return SystemParams(omega=args.omega, accel=args.accel, z=args.z, l=args.l)
 
 
 def _coefficients(args, params: SystemParams):
@@ -152,8 +148,8 @@ def cmd_evolve(args) -> int:
     horizon = tau_horizon(coeffs)  # also rejects a1 <= 0 under an explicit --t-end
     t_end = args.t_end if args.t_end is not None else horizon
     if args.points is not None:
-        if args.points < 2:
-            raise ConfigError("--points must be at least 2")
+        if not 2 <= args.points <= MAX_GRID_POINTS:
+            raise ConfigError(f"--points must lie in [2, {MAX_GRID_POINTS}], got {args.points}")
         grid = tuple(np.linspace(0.0, t_end, args.points))
     else:
         grid = tuple(default_time_grid(coeffs, t_end))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
 from .errors import ConvergenceError, DomainError, InvariantError
-from .evolution import (XState, _PopulationPropagator, _time_scale,
-                        default_horizon, prepare_initial)
+from .evolution import (SAMPLES_PER_SCALE, XState, _PopulationPropagator,
+                        _time_scale, default_horizon, prepare_initial)
 
 # uniform samples allowed over the coherence window, beyond which the
 # search raises ConvergenceError rather than truncate its grid
@@ -183,15 +183,14 @@ def _refine(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
     raise ConvergenceError(f"bracket refinement did not converge in {_MAX_ROUNDS} rounds")
 
 
-def _search_grid(coeffs: CoefficientSet, state0: XState, horizon: float,
-                 samples_per_scale: int) -> np.ndarray:
+def _search_grid(coeffs: CoefficientSet, state0: XState, horizon: float) -> np.ndarray:
     """Search grid on [0, horizon]: the points of linspace(0, horizon, n + 1)
-    (`samples_per_scale` per time scale) up to the coherence window W, where
+    (SAMPLES_PER_SCALE per time scale) up to the coherence window W, where
     the c_as bound 2|c_as(0)| exp(-4 a1 t) on the concurrence falls to 1e-13,
     but at least one scale; past W, where only the smooth populations
     matter, a geometric tail of _TAIL_SAMPLES points up to the horizon."""
     scale = _time_scale(coeffs, horizon)
-    n = max(math.ceil(samples_per_scale * horizon / scale), 100)
+    n = max(math.ceil(SAMPLES_PER_SCALE * horizon / scale), 100)
     c0 = max(2.0 * abs(state0.c_as), 1e-13)
     window = math.log(c0 / 1e-13) / (4.0 * coeffs.a1) if coeffs.a1 > 0.0 else horizon
     dt = horizon / n
@@ -207,11 +206,11 @@ def _search_grid(coeffs: CoefficientSet, state0: XState, horizon: float,
 
 def max_concurrence(params: SystemParams, horizon: float | None = None,
                     tol: float = 1e-8, *, coeffs: CoefficientSet | None = None,
-                    initial="ten", samples_per_scale: int = 40) -> tuple[float, float]:
+                    initial="ten") -> tuple[float, float]:
     """Global maximum of the concurrence over [0, horizon] for an evolution
     started from `initial` (default the separable '10' state).
 
-    Scans a grid that is uniform (`samples_per_scale` points per
+    Scans a grid that is uniform (SAMPLES_PER_SCALE points per
     oscillation/decay scale) over the coherence window and geometric beyond
     it, then sections every local bracket at once down to width `tol`; ties
     resolve to the smallest time. The default horizon outlasts both the
@@ -229,7 +228,7 @@ def max_concurrence(params: SystemParams, horizon: float | None = None,
     if horizon <= 0.0 or not math.isfinite(horizon):
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
 
-    taus = _search_grid(coeffs, state0, horizon, samples_per_scale)
+    taus = _search_grid(coeffs, state0, horizon)
     fun = partial(_concurrence_on_grid, _PopulationPropagator(coeffs), state0, coeffs)
     curve = fun(taus)
     inner = np.nonzero((curve[1:-1] >= curve[:-2]) & (curve[1:-1] >= curve[2:])

@@ -34,17 +34,15 @@ class SystemParams:
     accel:  proper acceleration, >= 0 (0 selects the analytic inertial limit)
     z:      atom-boundary distance, > 0
     l:      interatomic separation, > 0
-    gamma0: spontaneous-emission normalization, > 0 (default 1)
     """
 
     omega: float
     accel: float
     z: float
     l: float
-    gamma0: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega", "z", "l", "gamma0"):
+        for name in ("omega", "z", "l"):
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise DomainError(f"{name} must be finite and > 0, got {v}")
@@ -53,10 +51,10 @@ class SystemParams:
 
     @classmethod
     def from_dimensionless(cls, z_omega, a_over_omega, l_omega,
-                           omega=1.0, gamma0=1.0) -> "SystemParams":
+                           omega=1.0) -> "SystemParams":
         """Build params from the dimensionless combinations omega*z, a/omega, omega*L."""
         return cls(omega=omega, accel=a_over_omega * omega,
-                   z=z_omega / omega, l=l_omega / omega, gamma0=gamma0)
+                   z=z_omega / omega, l=l_omega / omega)
 
 
 @dataclass(frozen=True)
@@ -175,13 +173,13 @@ def spectral_density(lam: float, params: SystemParams) -> SpectralPair:
 def compute_coefficients(params: SystemParams) -> CoefficientSet:
     """Reduce the correlation spectra at the transition frequency to the five rates.
 
-    a1 = (gamma0/4) coth(pi*omega/a) [1 - f(omega, z)]
-    a2 = (gamma0/4) coth(pi*omega/a) [f(omega, L/2) - f(omega, sqrt(L^2/4 + z^2))]
+    a1 = (1/4) coth(pi*omega/a) [1 - f(omega, z)]
+    a2 = (1/4) coth(pi*omega/a) [f(omega, L/2) - f(omega, sqrt(L^2/4 + z^2))]
     b1, b2: same brackets without the thermal coth factor
-    d  = (gamma0/4) [h(omega, L/2) - h(omega, sqrt(L^2/4 + z^2))]
+    d  = (1/4) [h(omega, L/2) - h(omega, sqrt(L^2/4 + z^2))]
     """
     om, a, z, l = params.omega, params.accel, params.z, params.l
-    quarter = params.gamma0 / 4.0
+    quarter = 0.25
     thermal = coth(math.pi * om / a) if a > 0.0 else 1.0
     diag = math.sqrt(l * l / 4.0 + z * z)
     f_half, h_half = _kernel_pair(om, a, l / 2.0)

@@ -14,11 +14,9 @@ The closed solver exponentiates the population generator; the fixed-step
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .correlations import CoefficientSet
 from .errors import ConvergenceError, DegenerateKernelError, DomainError, InvariantError
@@ -181,6 +179,7 @@ class _PopulationPropagator:
         if self._diagonalizable:
             out = (self.v @ self.modes(p0, taus)).real
         else:
+            import scipy.linalg  # deferred: only this fallback needs scipy
             out = np.empty((4, taus.size))
             for i, t in enumerate(taus):
                 out[:, i] = scipy.linalg.expm(self.m * t) @ p0
@@ -323,25 +322,31 @@ def slowest_relaxation_rate(coeffs: CoefficientSet) -> float:
     return float(nonzero.min())
 
 
-def default_horizon(coeffs: CoefficientSet, initial: XState,
-                    coherence_floor: float = 1e-6,
-                    population_floor: float = 1e-8) -> float:
-    """Horizon after which the coherences have fallen below `coherence_floor`
-    and the populations sit within `population_floor` of the steady state."""
+COHERENCE_FLOOR = 1e-6
+POPULATION_FLOOR = 1e-8
+
+
+def default_horizon(coeffs: CoefficientSet, initial: XState) -> float:
+    """Horizon after which the coherences have fallen below COHERENCE_FLOOR
+    and the populations sit within POPULATION_FLOOR of the steady state."""
     t_coh = 0.0
     c0 = max(abs(initial.c_as), abs(initial.c_ge))
-    if c0 > coherence_floor and coeffs.a1 > 0.0:
-        t_coh = math.log(c0 / coherence_floor) / (4.0 * coeffs.a1)
+    if c0 > COHERENCE_FLOOR and coeffs.a1 > 0.0:
+        t_coh = math.log(c0 / COHERENCE_FLOOR) / (4.0 * coeffs.a1)
     gap = np.abs(initial.populations - steady_state(coeffs).populations).sum()
     t_pop = 0.0
-    if gap > population_floor:
-        t_pop = math.log(gap / population_floor) / slowest_relaxation_rate(coeffs)
+    if gap > POPULATION_FLOOR:
+        t_pop = math.log(gap / POPULATION_FLOOR) / slowest_relaxation_rate(coeffs)
     return max(t_coh, t_pop, 1.0)
+
+
+SAMPLES_PER_SCALE = 40  # of default_time_grid and of max_concurrence's search grid
+MAX_GRID_POINTS = 200_000  # default_time_grid raises beyond this budget
 
 
 def _time_scale(coeffs: CoefficientSet, t_end: float) -> float:
     """Shorter of the coherent-oscillation period pi/(2|d|) and the decay
-    scale 1/(4 a1), capped at t_end; grids sample it `samples_per_scale` times."""
+    scale 1/(4 a1), capped at t_end; grids sample it SAMPLES_PER_SCALE times."""
     scale = t_end
     if coeffs.d != 0.0:
         scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
@@ -358,22 +363,21 @@ def tau_horizon(coeffs: CoefficientSet) -> float:
     return 6.0 / (4.0 * coeffs.a1)
 
 
-def default_time_grid(coeffs: CoefficientSet, t_end: float,
-                      samples_per_scale: int = 40,
-                      max_points: int = 200_000) -> np.ndarray:
+def default_time_grid(coeffs: CoefficientSet, t_end: float) -> np.ndarray:
     """Hybrid geometric+linear grid on [0, t_end].
 
     The linear spacing resolves the shorter of the coherent-oscillation
-    period pi/(2|d|) and the decay scale 1/(4 a1) with at least
-    `samples_per_scale` points; a short geometric prefix refines tau = 0.
+    period pi/(2|d|) and the decay scale 1/(4 a1) with SAMPLES_PER_SCALE
+    points; a short geometric prefix refines tau = 0. Raises
+    ConvergenceError when that spacing needs more than MAX_GRID_POINTS
+    points, rather than coarsen the grid until the oscillation aliases.
     """
     if t_end <= 0.0 or not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    dt = _time_scale(coeffs, t_end) / samples_per_scale
-    if t_end / dt > max_points:
-        warnings.warn("time grid truncated to max_points; oscillations may alias",
-                      RuntimeWarning)
-        dt = t_end / max_points
+    dt = _time_scale(coeffs, t_end) / SAMPLES_PER_SCALE
+    if t_end / dt > MAX_GRID_POINTS:
+        raise ConvergenceError(f"time grid needs {t_end / dt:.4g} points to resolve "
+                               f"its time scale; budget {MAX_GRID_POINTS}")
     linear = np.arange(0.0, t_end, dt)
     geometric = dt * 2.0 ** -np.arange(1, 8, dtype=float)
     grid = np.unique(np.concatenate([linear, geometric, [t_end]]))

@@ -12,8 +12,9 @@ import pytest
 
 from mirroratoms import (SystemParams, compute_coefficients, concurrence_general,
                          concurrence_x, evolve_closed, evolve_numeric,
-                         generation_rate, image_wightman_ft_oracle, prepare_initial,
-                         preset, run_sweep, steady_state, to_product_matrix)
+                         generation_rate, prepare_initial, preset, run_sweep,
+                         steady_state, to_product_matrix)
+from mirroratoms.wightman import image_wightman_ft_oracle
 
 from conftest import random_params, random_x_state
 import reference as ref

@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mirroratoms
 from mirroratoms import load_result
 from mirroratoms.cli import main
+from mirroratoms.evolution import MAX_GRID_POINTS
 
 ANCHOR = ["--z", "0.4", "--l", "0.3"]
 
@@ -180,6 +186,41 @@ def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, command, fmt):
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed
     assert printed.startswith(b"axis_value," if fmt == "csv" else b"{")
+
+
+def test_evolve_points_beyond_the_grid_budget_exit_2(capsys):
+    argv = ["evolve", *ANCHOR, "--points", str(MAX_GRID_POINTS + 1)]
+    assert main(argv) == 2
+    assert "error: --points must lie in" in capsys.readouterr().err
+
+
+def test_evolve_default_grid_beyond_its_budget_exits_3(capsys):
+    # d ~ 1/(omega L) needs a grid finer than the budget over 6/(4 a1)
+    assert main(["evolve", "--z", "0.5", "--accel", "0.1", "--l", "1e-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+
+
+@pytest.mark.parametrize("command", ["coefficients", "rate", "evolve", "cmax"])
+def test_gamma0_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, *ANCHOR, "--gamma0", "2"])
+    assert info.value.code == 2
+    assert "--gamma0" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # the commands need neither the Wightman oracle's quadrature nor the
+    # expm fallback, so importing them must not pay for scipy
+    code = ("import sys, mirroratoms.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('scipy.integrate', 'scipy.linalg')))")
+    src = str(Path(mirroratoms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True, env=env)
+    assert done.stdout.strip() == "[]"
 
 
 def test_argparse_errors_exit_2():

@@ -300,8 +300,6 @@ def test_system_params_validation():
         SystemParams(omega=1.0, accel=1.0, z=-0.4, l=0.3)
     with pytest.raises(DomainError):
         SystemParams(omega=1.0, accel=1.0, z=0.4, l=0.0)
-    with pytest.raises(DomainError):
-        SystemParams(omega=1.0, accel=1.0, z=0.4, l=0.3, gamma0=0.0)
     p = SystemParams.from_dimensionless(z_omega=0.8, a_over_omega=0.5,
                                         l_omega=0.6, omega=2.0)
     assert p.z == pytest.approx(0.4) and p.accel == pytest.approx(1.0)
@@ -309,9 +307,9 @@ def test_system_params_validation():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("field", ["omega", "accel", "z", "l", "gamma0"])
+@pytest.mark.parametrize("field", ["omega", "accel", "z", "l"])
 def test_system_params_names_each_bad_field(field, bad):
-    values = {"omega": 1.0, "accel": 1.0, "z": 0.4, "l": 0.3, "gamma0": 1.0}
+    values = {"omega": 1.0, "accel": 1.0, "z": 0.4, "l": 0.3}
     if field == "accel" and bad == 0.0:
         assert SystemParams(**{**values, "accel": bad}).accel == 0.0
         assert SystemParams(**{**values, "accel": -0.0}).accel == 0.0

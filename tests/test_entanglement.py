@@ -233,9 +233,11 @@ def test_max_concurrence_coupling_never_hurts():
             assert with_d >= without - 1e-10
 
 
-def test_max_concurrence_grid_doubling_invariance(anchor_params):
-    t1, c1 = max_concurrence(anchor_params, samples_per_scale=40)
-    t2, c2 = max_concurrence(anchor_params, samples_per_scale=80)
+def test_max_concurrence_grid_doubling_invariance(anchor_params, monkeypatch):
+    t1, c1 = max_concurrence(anchor_params)
+    monkeypatch.setattr(concurrence_mod, "SAMPLES_PER_SCALE",
+                        2 * concurrence_mod.SAMPLES_PER_SCALE)
+    t2, c2 = max_concurrence(anchor_params)
     assert abs(c1 - c2) < 1e-9
     assert abs(t1 - t2) < 1e-4
 
@@ -330,7 +332,7 @@ def _coeffs_at(dims, with_d):
 def test_max_concurrence_bounds_its_own_grid(point):
     coeffs = _coeffs_at(*point)
     state0 = prepare_initial("ten")
-    taus = _search_grid(coeffs, state0, default_horizon(coeffs, state0), 40)
+    taus = _search_grid(coeffs, state0, default_horizon(coeffs, state0))
     prop = _PopulationPropagator(coeffs)
     curve = _concurrence_on_grid(prop, state0, coeffs, taus)
     # past the coherence window the grid turns geometric and c_as no longer

@@ -246,6 +246,22 @@ def test_numeric_step_budget(monkeypatch):
 
 # --- steady_state ------------------------------------------------------------
 
+def test_expm_fallback_matches_rk4():
+    # at omega*L = 1e-6 a2 -> a1 and the generator's eigenbasis is too
+    # ill-conditioned to use, so evolve_closed takes the expm branch
+    c = compute_coefficients(SystemParams.from_dimensionless(0.5, 0.1, 1e-6))
+    assert not evolution._PopulationPropagator(c)._diagonalizable
+    initial = prepare_initial("ten")
+    closed = evolve_closed(initial, c, np.linspace(0.0, 20.0, 201))
+    # the populations do not depend on d, and d ~ 1/(omega L) is too fast
+    # for the fixed-step integrator
+    numeric = evolve_numeric(initial, c.without_d(), 20.0, tol=1e-10)
+    assert np.array_equal(closed.times, numeric.times)
+    gap = max(np.max(np.abs(a.populations - b.populations))
+              for a, b in zip(closed.states, numeric.states))
+    assert gap < 1e-9
+
+
 def test_steady_state_inertial_is_ground():
     c = compute_coefficients(SystemParams(omega=1.0, accel=0.0, z=0.4, l=0.3))
     s = steady_state(c)
@@ -291,6 +307,15 @@ def test_default_time_grid_resolves_oscillation(anchor_params):
     assert np.all(np.diff(grid) > 0.0)
     scale = min(math.pi / (2.0 * abs(c.d)), 1.0 / (4.0 * c.a1))
     assert np.max(np.diff(grid)) <= scale / 40.0 * (1.0 + 1e-12)
+
+
+def test_default_time_grid_raises_beyond_its_point_budget(anchor_params):
+    c = compute_coefficients(anchor_params)
+    scale = min(math.pi / (2.0 * abs(c.d)), 1.0 / (4.0 * c.a1))
+    # the budget is checked before the grid is allocated
+    t_end = 2.0 * evolution.MAX_GRID_POINTS * scale / evolution.SAMPLES_PER_SCALE
+    with pytest.raises(ConvergenceError, match="budget"):
+        default_time_grid(c, t_end)
 
 
 def test_tau_horizon_is_six_coherence_e_folds(anchor_params):

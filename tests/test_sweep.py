@@ -77,6 +77,62 @@ def test_spec_round_trips_through_dict():
         SweepSpec.from_dict({**spec.to_dict(), "bogus": 1})
 
 
+@st.composite
+def valid_specs(draw):
+    axis = draw(st.sampled_from(sweep_mod.AXES))
+    if axis == "tau":
+        quantity, low = "concurrence_t", 0.0
+    else:
+        quantity = draw(st.sampled_from([q for q in sweep_mod.QUANTITIES
+                                         if q != "concurrence_t"]))
+        low = 5e-324
+    grid = sorted(draw(st.sets(st.floats(min_value=low, allow_infinity=False),
+                               min_size=1, max_size=6)))
+    keys = [k for k in ("z_omega", "a_over_omega", "l_omega") if k != axis]
+    fixed = {k: draw(st.floats(min_value=5e-324, allow_infinity=False)) for k in keys}
+    variants = draw(st.sets(st.sampled_from(sweep_mod.VARIANTS), min_size=1))
+    return SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
+                     variants=tuple(variants))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=valid_specs())
+def test_spec_dict_round_trip_property(spec):
+    assert SweepSpec.from_dict(spec.to_dict()) == spec
+    assert SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(sweep_mod.AXES + sweep_mod.QUANTITIES + sweep_mod.VARIANTS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def perturbed_spec_dicts(draw):
+    """The dict of a valid spec with one key dropped, or with one key (the
+    spec's own or an unknown one) set to any JSON value."""
+    doc = draw(valid_specs()).to_dict()
+    key = draw(st.sampled_from([*doc, "extra"]))
+    if key in doc and draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=st.one_of(perturbed_spec_dicts(), _JSON))
+def test_spec_from_any_json_builds_or_raises_domain_error(doc):
+    try:
+        spec = SweepSpec.from_dict(doc)
+    except DomainError:
+        return
+    assert SweepSpec.from_dict(spec.to_dict()) == spec
+
+
 # --- run_sweep ---------------------------------------------------------------
 
 def test_single_point_sweep_matches_direct_call():

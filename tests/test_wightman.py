@@ -4,9 +4,8 @@ import math
 
 import pytest
 
-from mirroratoms import (ConvergenceError, DomainError, SystemParams, coth,
-                         default_epsilon_schedule, image_wightman_ft_oracle,
-                         kernel_f)
+from mirroratoms import ConvergenceError, DomainError, SystemParams, coth, kernel_f
+from mirroratoms.wightman import default_epsilon_schedule, image_wightman_ft_oracle
 
 import reference as ref
 
