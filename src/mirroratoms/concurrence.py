@@ -15,9 +15,10 @@ from functools import partial
 import numpy as np
 
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
-from .errors import ConvergenceError, DomainError, InvariantError
+from .errors import ConvergenceError, DomainError
 from .evolution import (SAMPLES_PER_SCALE, XState, _PopulationPropagator,
-                        _time_scale, default_horizon, prepare_initial)
+                        _time_scale, default_horizon, prepare_initial,
+                        x_concurrence)
 
 # uniform samples allowed over the coherence window, beyond which the
 # search raises ConvergenceError rather than truncate its grid
@@ -49,10 +50,10 @@ class ConcurrenceReport:
 
     __slots__ = ("k1", "k2", "value")
 
-    def __init__(self, k1: float, k2: float):
+    def __init__(self, k1: float, k2: float, value: float):
         self.k1 = k1
         self.k2 = k2
-        self.value = min(max(0.0, k1, k2), 1.0)
+        self.value = value
 
     def __repr__(self):
         return f"ConcurrenceReport(k1={self.k1:.6g}, k2={self.k2:.6g}, value={self.value:.6g})"
@@ -73,20 +74,11 @@ class GenerationReport:
 
 
 def concurrence_x(state: XState) -> ConcurrenceReport:
-    """Closed-form concurrence of an X state.
-
-    k1 = sqrt((p_aa - p_ss)^2 + 4 Im(c_as)^2) - 2 sqrt(p_gg p_ee)
-    k2 = 2 |c_ge| - sqrt((p_aa + p_ss)^2 - 4 Re(c_as)^2)
-    """
-    diff2 = (state.p_aa - state.p_ss) ** 2 + 4.0 * state.c_as.imag ** 2
-    k1 = math.sqrt(diff2) - 2.0 * math.sqrt(max(state.p_gg * state.p_ee, 0.0))
-    rad2 = (state.p_aa + state.p_ss) ** 2 - 4.0 * state.c_as.real ** 2
-    # a coherence excess of eps within the state's own tolerance can push the
-    # radicand down to -4*eps, so the breach threshold scales with it
-    if rad2 < -4.0 * state.tol:
-        raise InvariantError(f"negative k2 radicand {rad2:.3e}; upstream invariant breach")
-    k2 = 2.0 * abs(state.c_ge) - math.sqrt(max(rad2, 0.0))
-    return ConcurrenceReport(k1, k2)
+    """Closed-form concurrence of an X state: `x_concurrence` of its entries,
+    with the state's own tolerance."""
+    k1, k2, value = x_concurrence(state.p_gg, state.p_ee, state.p_aa, state.p_ss,
+                                  state.c_as, state.c_ge, state.tol)
+    return ConcurrenceReport(float(k1), float(k2), float(value))
 
 
 def to_product_matrix(state: XState) -> np.ndarray:
@@ -147,15 +139,11 @@ def k1_closed(tau: float, populations, coeffs: CoefficientSet) -> float:
 
 def _concurrence_on_grid(prop: _PopulationPropagator, initial: XState,
                          coeffs: CoefficientSet, taus: np.ndarray) -> np.ndarray:
-    """Vectorized concurrence along a closed-form trajectory (no state objects)."""
+    """Concurrence along a closed-form trajectory; InvariantError on a positivity breach."""
     pops = prop.propagate(initial.populations, taus)
     c_as = initial.c_as * np.exp(-4.0 * (coeffs.a1 + 1j * coeffs.d) * taus)
     c_ge = np.abs(initial.c_ge) * np.exp(-4.0 * coeffs.a1 * taus)
-    k1 = (np.sqrt((pops[2] - pops[3]) ** 2 + 4.0 * c_as.imag ** 2)
-          - 2.0 * np.sqrt(np.clip(pops[0] * pops[1], 0.0, None)))
-    k2 = 2.0 * c_ge - np.sqrt(np.clip((pops[2] + pops[3]) ** 2 - 4.0 * c_as.real ** 2,
-                                      0.0, None))
-    return np.clip(np.maximum(k1, k2), 0.0, 1.0)
+    return x_concurrence(*pops, c_as, c_ge, initial.tol)[2]
 
 
 def _refine(fun, lo: np.ndarray, hi: np.ndarray, tol: float):

@@ -55,8 +55,11 @@ class XState:
             if p < -self.tol:
                 raise InvariantError(f"population {name} = {p} below -{self.tol:g}")
             object.__setattr__(self, name, 0.0 if p < 0.0 else p)
-        object.__setattr__(self, "c_as", complex(self.c_as))
-        object.__setattr__(self, "c_ge", complex(self.c_ge))
+        for name in ("c_as", "c_ge"):
+            c = complex(getattr(self, name))
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise InvariantError(f"coherence {name} is not finite")
+            object.__setattr__(self, name, c)
         if abs(self.trace - 1.0) > self.tol:
             raise InvariantError(f"trace deviates from 1 by {self.trace - 1.0:.3e}")
         if abs(self.c_as) ** 2 > self.p_aa * self.p_ss + self.tol:
@@ -197,15 +200,37 @@ def _check_times(times) -> np.ndarray:
     return t
 
 
-def _assemble(times, pops, c_as, c_ge, state_tol=HARD_TOL) -> EvolutionResult:
-    from .concurrence import concurrence_x  # deferred: avoids an import cycle
+def x_concurrence(p_gg, p_ee, p_aa, p_ss, c_as, c_ge, tol):
+    """Concurrence of X states, elementwise over arrays of their entries:
+    the candidates k1, k2 and the value max{0, k1, k2} clipped to [0, 1].
 
-    states = []
-    for i in range(times.size):
-        states.append(XState(p_gg=pops[0, i], p_ee=pops[1, i],
-                             p_aa=pops[2, i], p_ss=pops[3, i],
-                             c_as=c_as[i], c_ge=c_ge[i], tol=state_tol))
-    conc = np.array([concurrence_x(s).value for s in states])
+    k1 = sqrt((p_aa - p_ss)^2 + 4 Im(c_as)^2) - 2 sqrt(p_gg p_ee)
+    k2 = 2 |c_ge| - sqrt((p_aa + p_ss)^2 - 4 Re(c_as)^2)
+
+    Squares are products x * x (correctly rounded; libm's pow(x, 2) is not
+    always) and a complex c_ge's modulus is hypot, so an element has the
+    same bits in any array. A coherence excess of eps within a state's tolerance `tol` can
+    push the k2 radicand to -4 eps; below -4 tol it raises InvariantError.
+    """
+    p_gg, p_ee, p_aa, p_ss = (np.asarray(p, dtype=float) for p in (p_gg, p_ee, p_aa, p_ss))
+    c_as, c_ge = np.asarray(c_as), np.asarray(c_ge)
+    mod_ge = np.hypot(c_ge.real, c_ge.imag) if np.iscomplexobj(c_ge) else np.abs(c_ge)
+    diff, total, re, im = p_aa - p_ss, p_aa + p_ss, c_as.real, c_as.imag
+    k1 = np.sqrt(diff * diff + 4.0 * (im * im)) - 2.0 * np.sqrt(np.maximum(p_gg * p_ee, 0.0))
+    rad2 = total * total - 4.0 * (re * re)
+    breach = rad2 < -4.0 * tol
+    if breach.any():
+        raise InvariantError(f"negative k2 radicand {rad2[breach][0]:.3e}; "
+                             "upstream invariant breach")
+    k2 = 2.0 * mod_ge - np.sqrt(np.maximum(rad2, 0.0))
+    return k1, k2, np.clip(np.maximum(k1, k2), 0.0, 1.0)
+
+
+def _assemble(times, pops, c_as, c_ge, state_tol=HARD_TOL) -> EvolutionResult:
+    states = [XState(p_gg=pops[0, i], p_ee=pops[1, i], p_aa=pops[2, i], p_ss=pops[3, i],
+                     c_as=c_as[i], c_ge=c_ge[i], tol=state_tol) for i in range(times.size)]
+    held = np.where(pops < 0.0, 0.0, pops)  # the populations the states hold
+    conc = x_concurrence(*held, c_as, c_ge, state_tol)[2]
     return EvolutionResult(times=times, states=states, concurrence=conc)
 
 

@@ -39,6 +39,13 @@ CSV_COLUMNS = ("axis_value", "variant", "quantity",
                "a1", "a2", "b1", "b2", "d", "error_marker")
 
 
+def _number(x) -> float:
+    """An int or a float (np.float64 is one) as a float; TypeError otherwise, bools included."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: an axis with its grid, the remaining fixed dimensionless
@@ -59,8 +66,8 @@ class SweepSpec:
             raise DomainError("quantity 'concurrence_t' goes with axis 'tau' and only with it")
 
         try:
-            grid = tuple(float(g) for g in self.grid)
-            fixed = {str(k): float(v) for k, v in dict(self.fixed).items()}
+            grid = tuple(map(_number, self.grid))
+            fixed = {str(k): _number(v) for k, v in dict(self.fixed).items()}
             variants = tuple(dict.fromkeys(self.variants))
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError("grid and fixed must hold numbers, variants names: "
@@ -215,6 +222,30 @@ def _tau_grid(fixed: dict) -> tuple:
     return tuple(default_time_grid(coeffs, tau_horizon(coeffs)))
 
 
+# figure: (axis, grid kind or None for the tau grid, quantity, fixed per panel)
+_PRESETS = {
+    2: ("z_omega", _Z_WIDE, "rate",
+        [dict(l_omega=0.3, a_over_omega=a) for a in (0.1, 1.0)]),
+    3: ("a_over_omega", _A_LIN, "rate",
+        [dict(z_omega=z, l_omega=l) for z in (0.4, 20.0, 4000.0) for l in (0.3, 3.0, 30.0)]),
+    4: ("l_omega", _L_LIN, "rate",
+        [dict(a_over_omega=a, z_omega=z) for a in (0.1, 1.0) for z in (0.5, 10.0, 1000.0)]),
+    5: ("tau", None, "concurrence_t",
+        [dict(l_omega=0.5, z_omega=z, a_over_omega=a) for z in (0.4, 20.0) for a in (0.1, 2.7)]),
+    6: ("tau", None, "concurrence_t",
+        [dict(l_omega=1.9, z_omega=z, a_over_omega=a) for z in (0.4, 2.0, 20.0)
+         for a in (0.5, 1.3)]),
+    7: ("z_omega", _Z_NEAR, "cmax",
+        [dict(l_omega=0.4, a_over_omega=a) for a in (0.1, 1.0)]),
+    8: ("z_omega", _Z_NEAR, "cmax",
+        [dict(l_omega=l, a_over_omega=a) for l in (4.0, 9.0) for a in (0.1, 0.5)]),
+    9: ("a_over_omega", _A_LIN, "cmax",
+        [dict(l_omega=l, z_omega=z) for l in (0.3, 3.0, 30.0) for z in (0.4, 20.0, 4000.0)]),
+    10: ("l_omega", _L_LIN, "cmax",
+         [dict(a_over_omega=a, z_omega=z) for a in (0.1, 1.0) for z in (0.5, 10.0, 1000.0)]),
+}
+
+
 def preset(figure: int, points: int = 400) -> list:
     """Built-in sweeps 2..10 covering the standard survey of the model:
     generation rate vs boundary distance / acceleration / separation (2-4),
@@ -227,56 +258,10 @@ def preset(figure: int, points: int = 400) -> list:
     """
     if figure not in range(2, 11):
         raise DomainError(f"figure must be in 2..10, got {figure}")
-
-    def spec(axis, kind, **fixed):
-        return SweepSpec(axis=axis, grid=_axis_grid(kind, points), fixed=fixed,
-                         quantity=_PRESET_QUANTITY[figure])
-
-    out = []
-    if figure == 2:
-        for a in (0.1, 1.0):
-            out.append(spec("z_omega", _Z_WIDE, l_omega=0.3, a_over_omega=a))
-    elif figure == 3:
-        for z in (0.4, 20.0, 4000.0):
-            for l in (0.3, 3.0, 30.0):
-                out.append(spec("a_over_omega", _A_LIN, z_omega=z, l_omega=l))
-    elif figure == 4:
-        for a in (0.1, 1.0):
-            for z in (0.5, 10.0, 1000.0):
-                out.append(spec("l_omega", _L_LIN, a_over_omega=a, z_omega=z))
-    elif figure == 5:
-        for z in (0.4, 20.0):
-            for a in (0.1, 2.7):
-                fixed = {"l_omega": 0.5, "z_omega": z, "a_over_omega": a}
-                out.append(SweepSpec(axis="tau", grid=_tau_grid(fixed), fixed=fixed,
-                                     quantity="concurrence_t"))
-    elif figure == 6:
-        for z in (0.4, 2.0, 20.0):
-            for a in (0.5, 1.3):
-                fixed = {"l_omega": 1.9, "z_omega": z, "a_over_omega": a}
-                out.append(SweepSpec(axis="tau", grid=_tau_grid(fixed), fixed=fixed,
-                                     quantity="concurrence_t"))
-    elif figure == 7:
-        for a in (0.1, 1.0):
-            out.append(spec("z_omega", _Z_NEAR, l_omega=0.4, a_over_omega=a))
-    elif figure == 8:
-        for l in (4.0, 9.0):
-            for a in (0.1, 0.5):
-                out.append(spec("z_omega", _Z_NEAR, l_omega=l, a_over_omega=a))
-    elif figure == 9:
-        for l in (0.3, 3.0, 30.0):
-            for z in (0.4, 20.0, 4000.0):
-                out.append(spec("a_over_omega", _A_LIN, l_omega=l, z_omega=z))
-    else:  # figure == 10
-        for a in (0.1, 1.0):
-            for z in (0.5, 10.0, 1000.0):
-                out.append(spec("l_omega", _L_LIN, a_over_omega=a, z_omega=z))
-    return out
-
-
-_PRESET_QUANTITY = {2: "rate", 3: "rate", 4: "rate", 5: "concurrence_t",
-                    6: "concurrence_t", 7: "cmax", 8: "cmax", 9: "cmax",
-                    10: "cmax"}
+    axis, kind, quantity, panels = _PRESETS[figure]
+    grid = None if kind is None else _axis_grid(kind, points)
+    return [SweepSpec(axis=axis, grid=_tau_grid(fixed) if grid is None else grid,
+                      fixed=fixed, quantity=quantity) for fixed in panels]
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,18 @@ def test_sweep_non_finite_grid_exits_2(tmp_path, capsys, bad):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change", [
+    {"grid": "14"}, {"grid": [True]}, {"grid": ["0.5"]},
+    {"fixed": {"a_over_omega": True, "l_omega": 0.3}},
+], ids=json.dumps)
+def test_sweep_strings_and_booleans_exit_2(tmp_path, capsys, change):
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"axis": "z_omega", "grid": [0.4], "quantity": "rate",
+                               "fixed": {"a_over_omega": 1.0, "l_omega": 0.3}, **change}))
+    assert main(["sweep", "--spec", str(cfg)]) == 2
+    assert "must hold numbers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["coefficients", "rate", "evolve", "sweep"])
 def test_stdout_and_out_file_get_the_same_bytes(tmp_path, capsys, command, fmt):
@@ -242,12 +254,22 @@ _FIGURE_DIGESTS = {
         "5b4ad821df1491afb2365e04e6d2d9155eb7c13e5c4773a09bbd3f67d44e0085",
     ("5", "--format", "csv"):
         "eec8b0c32cf6219944fabab9c8fc13bb53701ab19652e5cf61f7f49d09729d61",
+    ("6", "--format", "csv"):
+        "1d988810c1360c7e718d7610eb44e2956e7f4166b0a8ab91d8a4a5fdc8de89bb",
+    ("7", "--points", "5", "--format", "json"):
+        "3014f78e88615c255c3a9e26f80c6447eef6a599fed9f5d86db74fee61ca8676",
+    ("8", "--points", "5", "--format", "json"):
+        "2f22c0cd3927050d72431aaaa496e81233eb233f8fa1a874ead40feb936a7cc5",
+    ("9", "--points", "5", "--format", "json"):
+        "012a8fa9cc7f25b77371bf611c55b4791ba00d15d8cf6156bb88a993ca8506d2",
+    ("10", "--points", "5", "--format", "json"):
+        "2bfb52317f48786acc0727ba1d6e7ead312e33f212b84e7b157a8f8c71fb0148",
 }
 
 
 @pytest.mark.parametrize("figure", sorted(_FIGURE_DIGESTS), ids=lambda f: f"fig{f[0]}")
 def test_figure_bytes_are_pinned(tmp_path, capsys, figure):
-    """The emitted bytes of figures 2-5 against digests recorded before the
+    """The emitted bytes of figures 2-10 against digests recorded before the
     row templates and the kernel pair replaced per-cell formatting and per-
     kernel calls. The digests belong to the libm they were recorded with
     (glibc 2.36, x86_64, numpy 2.4.6): another libm may round sin, cos,

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 import mirroratoms.concurrence as concurrence_mod
-from mirroratoms import (CoefficientSet, ConvergenceError, DomainError, SweepSpec,
+from mirroratoms import (CoefficientSet, ConvergenceError, DomainError,
+                         InvariantError, SweepSpec,
                          SystemParams, XState, compute_coefficients,
                          concurrence_general, concurrence_x, default_horizon,
                          evolve_closed, evolve_numeric, generation_rate, k1_closed,
@@ -17,7 +18,7 @@ from mirroratoms import (CoefficientSet, ConvergenceError, DomainError, SweepSpe
                          preset, run_sweep, to_product_matrix)
 from mirroratoms.cli import main
 from mirroratoms.concurrence import _concurrence_on_grid, _refine, _search_grid
-from mirroratoms.evolution import _PopulationPropagator
+from mirroratoms.evolution import HARD_TOL, _PopulationPropagator, x_concurrence
 
 from conftest import random_params, random_x_state
 import reference as ref
@@ -54,6 +55,61 @@ def test_report_value_is_max_of_candidates():
         rep = concurrence_x(random_x_state(rng))
         assert rep.value == pytest.approx(min(max(0.0, rep.k1, rep.k2), 1.0), abs=0)
         assert 0.0 <= rep.value <= 1.0 + 1e-12
+
+
+# --- x_concurrence ------------------------------------------------------------
+
+@st.composite
+def x_entries(draw):
+    """The entries of one X state, not normalised, with roundoff-negative
+    p_gg, p_ee and a nonnegative k2 radicand: |Re c_as| <= (p_aa + p_ss) / 2."""
+    unit = st.floats(-1.0, 1.0)
+    p_gg, p_ee = draw(st.floats(-1e-12, 1.0)), draw(st.floats(-1e-12, 1.0))
+    p_aa, p_ss = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    c_as = complex(draw(unit) * (p_aa + p_ss) / 2.0, draw(unit))
+    return p_gg, p_ee, p_aa, p_ss, c_as, complex(draw(unit), draw(unit))
+
+
+def _written_out(p_gg, p_ee, p_aa, p_ss, c_as, c_ge):
+    """The kernel's formulas in Python floats, every square a product x * x."""
+    diff, total = p_aa - p_ss, p_aa + p_ss
+    k1 = (math.sqrt(diff * diff + 4.0 * (c_as.imag * c_as.imag))
+          - 2.0 * math.sqrt(max(p_gg * p_ee, 0.0)))
+    k2 = 2.0 * abs(c_ge) - math.sqrt(max(total * total - 4.0 * (c_as.real * c_as.real), 0.0))
+    return k1, k2, min(max(0.0, k1, k2), 1.0)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(states=st.lists(x_entries(), min_size=1, max_size=9))
+def test_kernel_element_has_the_bits_of_a_single_call(states):
+    columns = [np.array(column) for column in zip(*states)]
+    k1, k2, value = x_concurrence(*columns, HARD_TOL)
+    # a real, nonnegative c_ge (the search grid's form) is its own modulus
+    moduli = np.array([abs(c_ge) for *_, c_ge in states])
+    assert _bits(x_concurrence(*columns[:5], moduli, HARD_TOL)[1]) == _bits(k2)
+    for i, entries in enumerate(states):
+        single = x_concurrence(*([e] for e in entries), HARD_TOL)
+        assert _bits((k1[i], k2[i], value[i])) == _bits(c[0] for c in single)
+        assert _bits((k1[i], k2[i], value[i])) == _bits(_written_out(*entries))
+
+
+def test_concurrence_x_reports_the_kernel():
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        s = random_x_state(rng)
+        rep = concurrence_x(s)
+        kernel = x_concurrence(s.p_gg, s.p_ee, s.p_aa, s.p_ss, s.c_as, s.c_ge, s.tol)
+        assert _bits((rep.k1, rep.k2, rep.value)) == _bits(kernel)
+
+
+def test_kernel_rejects_a_negative_radicand():
+    with pytest.raises(InvariantError, match="negative k2 radicand -1.000e-08"):
+        x_concurrence([0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0],
+                      [0.5, 0.5e-4], [0.0, 0.0], 1e-9)
 
 
 # --- concurrence_general -------------------------------------------------------
@@ -255,6 +311,14 @@ def test_max_concurrence_validation(anchor_params):
         max_concurrence(anchor_params, horizon=-1.0)
 
 
+def test_max_concurrence_rejects_a_positivity_breach():
+    # a1 < b1 and a1 < |a2| give negative transition rates; the search used
+    # to return (1.98, 1.0) for this set instead of raising
+    coeffs = CoefficientSet(0.1, -0.4, 0.15, 0.4, -0.3)
+    with pytest.raises(InvariantError, match="negative k2 radicand"):
+        max_concurrence(None, horizon=3.0, coeffs=coeffs)
+
+
 def test_max_concurrence_returns_at_huge_horizon():
     # the default horizon here is 3.4e10; a uniform grid over it puts brackets
     # near tau = 1e9, where doubles are spaced wider than an absolute stopping
@@ -347,6 +411,18 @@ def test_max_concurrence_bounds_its_own_grid(point):
         _, c_max = max_concurrence(None, coeffs=coeffs)
     assert c_max <= 1.0
     assert c_max >= curve.max() or (c_max == 0.0 and curve.max() <= 1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(point=figure_point(), factors=st.lists(st.floats(0.25, 2.0), min_size=2, max_size=2))
+def test_max_concurrence_does_not_drop_as_the_horizon_grows(point, factors):
+    coeffs = _coeffs_at(*point)
+    horizon = default_horizon(coeffs, prepare_initial("ten"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        shorter, longer = (max_concurrence(None, horizon=f * horizon, coeffs=coeffs)[1]
+                           for f in sorted(factors))
+    assert longer >= shorter - 1e-12
 
 
 def _dense_scan_max(coeffs) -> float:

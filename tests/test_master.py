@@ -62,6 +62,16 @@ def test_xstate_invariant_violations():
         XState(p_gg=0.5, p_ee=0.5, p_aa=0.0, p_ss=0.0, c_ge=0.6)
 
 
+@pytest.mark.parametrize("field", ["c_as", "c_ge"])
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, math.nan), complex(0.0, math.inf)],
+                         ids=repr)
+def test_xstate_rejects_non_finite_coherence(field, bad):
+    # a NaN coherence slips through the positivity bound, and concurrence_x
+    # used to report 0 for it
+    with pytest.raises(InvariantError, match=f"coherence {field} is not finite"):
+        XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5, **{field: bad})
+
+
 def test_xstate_clamps_roundoff_negatives():
     s = XState(p_gg=1.0 + 1e-13, p_ee=-1e-13, p_aa=0.0, p_ss=0.0)
     assert s.p_ee == 0.0

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +62,22 @@ def test_spec_rejects_non_finite_grid(axis, bad):
     for grid in ((0.5, bad), (bad, 0.5), (bad,)):
         with pytest.raises(DomainError, match="finite"):
             SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity)
+
+
+@pytest.mark.parametrize("change", [
+    {"grid": "14"}, {"grid": [True]}, {"grid": ["0.5"]},
+    {"fixed": {"a_over_omega": True, "l_omega": 0.3}},
+    {"fixed": {"a_over_omega": "0.5", "l_omega": 0.3}},
+], ids=json.dumps)
+def test_spec_rejects_strings_and_booleans_as_numbers(change):
+    # a string grid used to sweep its characters: "14" ran omega*z = 1 and 4
+    with pytest.raises(DomainError, match="must hold numbers"):
+        SweepSpec.from_dict({**rate_spec().to_dict(), **change})
+
+
+def test_spec_accepts_ints_and_numpy_floats():
+    spec = rate_spec(grid=(1, np.float64(2.5)))
+    assert spec.grid == (1.0, 2.5) and all(type(g) is float for g in spec.grid)
 
 
 def test_spec_normalizes_variant_order():
