@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concurrence import TOL_RANGE, generation_rate, max_concurrence
+from .concurrence import TOL_RANGE, GenerationReport, max_concurrence
 from .correlations import SystemParams, compute_coefficients
 from .errors import NUMERICAL_ERRORS, DomainError
 from .evolution import MAX_GRID_POINTS, default_time_grid, tau_horizon
@@ -27,11 +27,17 @@ class ConfigError(Exception):
     pass
 
 
+class RowError(Exception):
+    """A row of a single-configuration command carries an error marker."""
+
+
 def _add_params(p: argparse.ArgumentParser):
-    p.add_argument("--omega", type=float, default=1.0, help="transition frequency")
-    p.add_argument("--accel", type=float, default=1.0, help="proper acceleration")
-    p.add_argument("--z", type=float, required=True, help="atom-boundary distance")
-    p.add_argument("--l", type=float, required=True, help="interatomic separation")
+    p.add_argument("--accel", type=float, default=1.0,
+                   help="acceleration a/omega (0: the inertial limit)")
+    p.add_argument("--z", type=float, required=True,
+                   help="atom-boundary distance omega*z")
+    p.add_argument("--l", type=float, required=True,
+                   help="interatomic separation omega*L")
     p.add_argument("--no-d", action="store_true",
                    help="zero the coherent interatomic coupling d")
 
@@ -94,12 +100,7 @@ def _write(text: str, out: Path | None):
 
 
 def _params_from(args) -> SystemParams:
-    return SystemParams(omega=args.omega, accel=args.accel, z=args.z, l=args.l)
-
-
-def _coefficients(args, params: SystemParams):
-    coeffs = compute_coefficients(params)
-    return coeffs.without_d() if args.no_d else coeffs
+    return SystemParams.from_dimensionless(args.z, args.accel, args.l)
 
 
 def _check_positive(flag: str, value: float | None):
@@ -108,43 +109,42 @@ def _check_positive(flag: str, value: float | None):
         raise ConfigError(f"{flag} must be finite and > 0, got {value}")
 
 
-def _point_spec(args, params: SystemParams, quantity: str, tau=None) -> SweepSpec:
-    """The sweep of a single-configuration command: over its one omega*z
-    value, or over the tau grid `tau`."""
-    fixed = {"z_omega": params.z * params.omega,
-             "a_over_omega": params.accel / params.omega,
-             "l_omega": params.l * params.omega}
+def _point_sweep(args, quantity: str, tau=None) -> SweepResult:
+    """The one-point sweep of a single-configuration command: over its one
+    omega*z value, or over the tau grid `tau`. The flags are checked by
+    SystemParams first, and a row's error marker fails the command before
+    anything is written."""
+    params = _params_from(args)
+    fixed = {"z_omega": params.z, "a_over_omega": params.accel, "l_omega": params.l}
     axis, grid = ("z_omega", (fixed.pop("z_omega"),)) if tau is None else ("tau", tau)
-    return SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
-                     variants=("without_D",) if args.no_d else VARIANTS)
+    result = run_sweep(SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
+                                 variants=("without_D",) if args.no_d else VARIANTS))
+    for row in result.rows:
+        if row.error is not None:
+            raise RowError(row.error)
+    return result
 
 
-def cmd_coefficients(args) -> int:
-    params = _params_from(args)
-    if args.format == "text":
-        coeffs = _coefficients(args, params)
+def cmd_point(args) -> int:
+    """coefficients and rate: the one-point sweep of the quantity the command
+    names, as csv/json rows or as the text of the selected variant's row."""
+    result = _point_sweep(args, args.command)
+    if args.format != "text":
+        emit(result, args.format, args.out)
+        return 0
+    row = result.rows[0]  # the selected variant comes first
+    if args.command == "rate":
+        print(f"rate = {row.value:.12g}")
+        print(f"generates = {GenerationReport(row.value).generates}")
+    else:
         for name in ("a1", "a2", "b1", "b2", "d"):
-            print(f"{name} = {getattr(coeffs, name):.12g}")
-    else:
-        emit(run_sweep(_point_spec(args, params, "coefficients")), args.format, args.out)
-    return 0
-
-
-def cmd_rate(args) -> int:
-    params = _params_from(args)
-    if args.format == "text":
-        report = generation_rate(_coefficients(args, params))
-        print(f"rate = {report.rate:.12g}")
-        print(f"generates = {report.generates}")
-    else:
-        emit(run_sweep(_point_spec(args, params, "rate")), args.format, args.out)
+            print(f"{name} = {getattr(row.coeffs, name):.12g}")
     return 0
 
 
 def cmd_evolve(args) -> int:
     _check_positive("--t-end", args.t_end)
-    params = _params_from(args)
-    coeffs = compute_coefficients(params)
+    coeffs = compute_coefficients(_params_from(args))
     horizon = tau_horizon(coeffs)  # also rejects a1 <= 0 under an explicit --t-end
     t_end = args.t_end if args.t_end is not None else horizon
     if args.points is not None:
@@ -153,7 +153,7 @@ def cmd_evolve(args) -> int:
         grid = tuple(np.linspace(0.0, t_end, args.points))
     else:
         grid = tuple(default_time_grid(coeffs, t_end))
-    emit(run_sweep(_point_spec(args, params, "concurrence_t", grid)), args.format, args.out)
+    emit(_point_sweep(args, "concurrence_t", grid), args.format, args.out)
     return 0
 
 
@@ -162,8 +162,9 @@ def cmd_cmax(args) -> int:
         raise ConfigError(f"--tol must lie in [1e-10, 1e-4], got {args.tol}")
     _check_positive("--horizon", args.horizon)
     params = _params_from(args)
+    coeffs = compute_coefficients(params)
     tau_star, c_max = max_concurrence(params, horizon=args.horizon, tol=args.tol,
-                                      coeffs=_coefficients(args, params))
+                                      coeffs=coeffs.without_d() if args.no_d else coeffs)
     if args.format == "text":
         print(f"tau_star = {tau_star:.12g}")
         print(f"c_max = {c_max:.12g}")
@@ -226,8 +227,8 @@ def cmd_figure(args) -> int:
 
 
 _COMMANDS = {
-    "coefficients": cmd_coefficients,
-    "rate": cmd_rate,
+    "coefficients": cmd_point,
+    "rate": cmd_point,
     "evolve": cmd_evolve,
     "cmax": cmd_cmax,
     "sweep": cmd_sweep,
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (RowError, *NUMERICAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

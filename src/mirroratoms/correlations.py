@@ -50,11 +50,10 @@ class SystemParams:
             raise DomainError(f"accel must be finite and >= 0, got {self.accel}")
 
     @classmethod
-    def from_dimensionless(cls, z_omega, a_over_omega, l_omega,
-                           omega=1.0) -> "SystemParams":
-        """Build params from the dimensionless combinations omega*z, a/omega, omega*L."""
-        return cls(omega=omega, accel=a_over_omega * omega,
-                   z=z_omega / omega, l=l_omega / omega)
+    def from_dimensionless(cls, z_omega, a_over_omega, l_omega) -> "SystemParams":
+        """Build params from the dimensionless combinations omega*z, a/omega,
+        omega*L, in units where omega = 1."""
+        return cls(omega=1.0, accel=a_over_omega, z=z_omega, l=l_omega)
 
 
 @dataclass(frozen=True)

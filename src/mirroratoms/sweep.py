@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,12 @@ _UNITS = {"rates": "gamma0", "times": "1/gamma0", "lengths": "1/omega"}
 
 CSV_COLUMNS = ("axis_value", "variant", "quantity",
                "a1", "a2", "b1", "b2", "d", "error_marker")
+
+
+def _admissible(key: str, x: float) -> bool:
+    """Whether x lies in the domain of the dimensionless knob `key`: finite
+    and > 0, or >= 0 for tau and for a/omega (0 is the inertial limit)."""
+    return math.isfinite(x) and (x >= 0.0 if key in ("tau", "a_over_omega") else x > 0.0)
 
 
 def _number(x) -> float:
@@ -78,16 +84,16 @@ class SweepSpec:
             raise DomainError("grid values must be finite")
         if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
             raise DomainError("grid must be strictly increasing")
-        low = 0.0 if self.axis == "tau" else None
-        if (low is not None and grid[0] < low) or (low is None and grid[0] <= 0.0):
+        if not _admissible(self.axis, grid[0]):
             raise DomainError(f"grid values out of range for axis {self.axis}")
         object.__setattr__(self, "grid", grid)
 
         needed = set(_DIM_KEYS) if self.axis == "tau" else set(_DIM_KEYS) - {self.axis}
         if set(fixed) != needed:
             raise DomainError(f"fixed must supply exactly {sorted(needed)}, got {sorted(fixed)}")
-        if any(v <= 0.0 or not math.isfinite(v) for v in fixed.values()):
-            raise DomainError("fixed parameters must be finite and positive")
+        if not all(_admissible(k, v) for k, v in fixed.items()):
+            raise DomainError("fixed parameters must be finite and positive "
+                              "(a_over_omega may be 0)")
         object.__setattr__(self, "fixed", fixed)
 
         if not variants or any(v not in VARIANTS for v in variants):
@@ -129,7 +135,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     spec: SweepSpec
-    rows: tuple = field(default_factory=tuple)
+    rows: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -271,19 +277,15 @@ def _fnum(x) -> str:
     return "%.17g" % x  # format(float(x), ".17g") for every int and float x
 
 
-def _row_cells(row: SweepRow) -> list:
+def _numbers(row: SweepRow) -> tuple:
+    """The value and the five coefficients of a row, None where missing."""
     c = row.coeffs
-    return [
-        _fnum(row.axis_value),
-        row.variant,
-        "" if row.value is None else _fnum(row.value),
-        "" if c is None else _fnum(c.a1),
-        "" if c is None else _fnum(c.a2),
-        "" if c is None else _fnum(c.b1),
-        "" if c is None else _fnum(c.b2),
-        "" if c is None else _fnum(c.d),
-        row.error or "",
-    ]
+    return (row.value, *((None,) * 5 if c is None else (c.a1, c.a2, c.b1, c.b2, c.d)))
+
+
+def _row_cells(row: SweepRow) -> list:
+    return [_fnum(row.axis_value), row.variant,
+            *("" if x is None else _fnum(x) for x in _numbers(row)), row.error or ""]
 
 
 def _complete_values(row: SweepRow):
@@ -326,8 +328,7 @@ def _jnum(x) -> str:
     return "null" if x is None else _fnum(x)
 
 
-_JSON_CELLS = ('    {"axis_value": %s, "variant": %s, "quantity": %s, '
-               '"a1": %s, "a2": %s, "b1": %s, "b2": %s, "d": %s, "error_marker": %s}')
+_JSON_CELLS = "    {" + ", ".join(f'"{col}": %s' for col in CSV_COLUMNS) + "}"
 _JSON_ROW = _JSON_CELLS % ("%.17g", '"%s"', *["%.17g"] * 6, "null")
 
 
@@ -356,14 +357,9 @@ def render_json(result: SweepResult) -> str:
         if values is not None:
             body.append(_JSON_ROW % values)
             continue
-        c = row.coeffs
-        body.append(
-            _JSON_CELLS
-            % (_fnum(row.axis_value), _jstr(row.variant), _jnum(row.value),
-               _jnum(None if c is None else c.a1), _jnum(None if c is None else c.a2),
-               _jnum(None if c is None else c.b1), _jnum(None if c is None else c.b2),
-               _jnum(None if c is None else c.d),
-               "null" if row.error is None else _jstr(row.error)))
+        body.append(_JSON_CELLS % (_fnum(row.axis_value), _jstr(row.variant),
+                                   *map(_jnum, _numbers(row)),
+                                   "null" if row.error is None else _jstr(row.error)))
     out.append(",\n".join(body))
     out.extend(["  ]", "}"])
     return "\n".join(out) + "\n"
@@ -393,11 +389,7 @@ def load_result(path) -> SweepResult:
     spec = SweepSpec.from_dict(doc["metadata"]["spec"])
     rows = []
     for r in doc["rows"]:
-        coeffs = None
-        if r["a1"] is not None:
-            coeffs = CoefficientSet(a1=r["a1"], a2=r["a2"], b1=r["b1"],
-                                    b2=r["b2"], d=r["d"])
-        rows.append(SweepRow(axis_value=r["axis_value"], variant=r["variant"],
-                             value=r["quantity"], coeffs=coeffs,
-                             error=r["error_marker"]))
+        axis_value, variant, value, a1, a2, b1, b2, d, error = (r[c] for c in CSV_COLUMNS)
+        coeffs = None if a1 is None else CoefficientSet(a1, a2, b1, b2, d)
+        rows.append(SweepRow(axis_value, variant, value, coeffs, error))
     return SweepResult(spec=spec, rows=rows)

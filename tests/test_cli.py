@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import argparse
+import csv
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import mirroratoms
-from mirroratoms import load_result
-from mirroratoms.cli import main
+from mirroratoms import SystemParams, compute_coefficients, load_result
+from mirroratoms.cli import build_parser, main
 from mirroratoms.evolution import MAX_GRID_POINTS
 
 ANCHOR = ["--z", "0.4", "--l", "0.3"]
@@ -219,6 +223,93 @@ def test_gamma0_flag_is_gone(capsys, command):
         main([command, *ANCHOR, "--gamma0", "2"])
     assert info.value.code == 2
     assert "--gamma0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coefficients", "rate", "evolve", "cmax"])
+def test_omega_flag_is_gone(capsys, command):
+    # --z, --l and --accel are omega*z, omega*L and a/omega already
+    with pytest.raises(SystemExit) as info:
+        main([command, *ANCHOR, "--omega", "2"])
+    assert info.value.code == 2
+    assert "--omega" in capsys.readouterr().err
+
+
+def _rows(capsys, argv, fmt):
+    """The emitted rows of a csv/json command, as dicts of the row fields."""
+    assert main([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    return list(csv.DictReader(io.StringIO(out)))
+
+
+_POINTS = [ANCHOR, ["--z", "2", "--l", "9", "--accel", "0.5"],
+           ["--z", "1e-2", "--l", "0.05", "--accel", "0"]]
+
+
+@pytest.mark.parametrize("no_d", [[], ["--no-d"]], ids=["with_D", "no_d"])
+@pytest.mark.parametrize("point", _POINTS, ids=" ".join)
+def test_text_prints_the_row_of_the_sweep(capsys, point, no_d):
+    argv = [*point, *no_d]
+    assert main(["coefficients", *argv]) == 0
+    text = capsys.readouterr().out
+    assert main(["rate", *argv]) == 0
+    rate_text = capsys.readouterr().out
+    for fmt in ("csv", "json"):
+        row = _rows(capsys, ["coefficients", *argv], fmt)[0]  # the selected variant
+        assert row["variant"] == ("without_D" if no_d else "with_D")
+        assert text == "".join(f"{k} = {float(row[k]):.12g}\n"
+                               for k in ("a1", "a2", "b1", "b2", "d"))
+        rate = float(_rows(capsys, ["rate", *argv], fmt)[0]["quantity"])
+        assert rate_text == f"rate = {rate:.12g}\ngenerates = {rate > 0.0}\n"
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("coefficients", "text"), ("coefficients", "csv"), ("coefficients", "json"),
+    ("rate", "text"), ("rate", "csv"), ("rate", "json"),
+    ("evolve", "csv"), ("evolve", "json"), ("cmax", "text"), ("cmax", "json"),
+])
+def test_inertial_limit_runs_in_every_command(capsys, command, fmt):
+    argv = [command, *ANCHOR, "--accel", "0"]
+    if fmt == "text" or command == "cmax":
+        assert main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().out
+        return
+    exact = compute_coefficients(SystemParams(1.0, 0.0, 0.4, 0.3))
+    rows = _rows(capsys, argv, fmt)
+    assert rows and not any(row["error_marker"] for row in rows)
+    for row in rows:
+        coeffs = exact if row["variant"] == "with_D" else exact.without_d()
+        assert [float(row[k]) for k in ("a1", "a2", "b1", "b2", "d")] == \
+            [coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.d]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", ["coefficients", "rate"])
+def test_failing_configuration_exits_3_and_writes_nothing(tmp_path, capsys, command, fmt):
+    # omega*z = 1e200 overflows the diagonal distance sqrt(L^2/4 + z^2)
+    argv = [command, "--z", "1e200", "--l", "0.3", "--format", fmt]
+    out = tmp_path / "out"
+    for extra in ([], ["--out", str(out)]):
+        assert main([*argv, *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d must be > 0, got inf\n"
+    assert not out.exists()
+
+
+def test_readme_flags_are_accepted_by_the_parser():
+    # a removed flag must not linger in the synopsis
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split() for line in block.splitlines() if line.startswith("mirroratoms ")]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted({words[1] for words in commands}) == sorted(subparsers)
+    for words in commands:
+        accepted = subparsers[words[1]]._option_string_actions
+        for flag in re.findall(r"--[a-z][a-z0-9-]*", " ".join(words[2:])):
+            assert flag in accepted, f"README: mirroratoms {words[1]} {flag}"
 
 
 def test_cli_import_loads_no_scipy():

@@ -37,7 +37,7 @@ def test_spec_rejects_bad_fields():
                   quantity="rate")  # missing a_over_omega
     with pytest.raises(DomainError):
         SweepSpec(axis="z_omega", grid=(0.4,),
-                  fixed={"a_over_omega": 0.0, "l_omega": 0.3}, quantity="rate")
+                  fixed={"a_over_omega": -0.1, "l_omega": 0.3}, quantity="rate")
     with pytest.raises(DomainError):
         rate_spec(variants=())
     with pytest.raises(DomainError):
@@ -50,6 +50,23 @@ def test_spec_rejects_bad_fields():
         SweepSpec(axis="tau", grid=(0.0, 1.0),
                   fixed={"a_over_omega": 1.0, "l_omega": 0.3, "z_omega": 0.4},
                   quantity="rate")
+
+
+def test_spec_admits_the_inertial_limit():
+    # a/omega = 0 is in SystemParams' domain, so it is in a sweep's too
+    fixed = SweepSpec(axis="z_omega", grid=(0.4,), quantity="rate",
+                      fixed={"a_over_omega": 0.0, "l_omega": 0.3})
+    axis = SweepSpec(axis="a_over_omega", grid=(0.0, 0.5), quantity="rate",
+                     fixed={"z_omega": 0.4, "l_omega": 0.3})
+    exact = compute_coefficients(SystemParams(1.0, 0.0, 0.4, 0.3))
+    assert run_sweep(fixed).rows[0].coeffs == exact
+    assert run_sweep(axis).rows[0].coeffs == exact
+    with pytest.raises(DomainError, match="fixed parameters"):
+        SweepSpec(axis="z_omega", grid=(0.4,), quantity="rate",
+                  fixed={"a_over_omega": -0.1, "l_omega": 0.3})
+    with pytest.raises(DomainError, match="out of range"):
+        SweepSpec(axis="a_over_omega", grid=(-0.1, 0.5), quantity="rate",
+                  fixed={"z_omega": 0.4, "l_omega": 0.3})
 
 
 @pytest.mark.parametrize("axis", ["z_omega", "tau"])
