@@ -119,9 +119,9 @@ def _point_sweep(args, quantity: str, tau=None) -> SweepResult:
     axis, grid = ("z_omega", (fixed.pop("z_omega"),)) if tau is None else ("tau", tau)
     result = run_sweep(SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
                                  variants=("without_D",) if args.no_d else VARIANTS))
-    for row in result.rows:
-        if row.error is not None:
-            raise RowError(row.error)
+    for error in result.columns.error:
+        if error is not None:
+            raise RowError(error)
     return result
 
 
@@ -132,13 +132,14 @@ def cmd_point(args) -> int:
     if args.format != "text":
         emit(result, args.format, args.out)
         return 0
-    row = result.rows[0]  # the selected variant comes first
+    columns = result.columns  # the selected variant's row comes first
     if args.command == "rate":
-        print(f"rate = {row.value:.12g}")
-        print(f"generates = {GenerationReport(row.value).generates}")
+        value = columns.value[0]
+        text = f"rate = {value:.12g}\ngenerates = {GenerationReport(value).generates}\n"
     else:
-        for name in ("a1", "a2", "b1", "b2", "d"):
-            print(f"{name} = {getattr(row.coeffs, name):.12g}")
+        text = "".join(f"{name} = {getattr(columns, name)[0]:.12g}\n"
+                       for name in ("a1", "a2", "b1", "b2", "d"))
+    _write(text, args.out)
     return 0
 
 
@@ -166,12 +167,12 @@ def cmd_cmax(args) -> int:
     tau_star, c_max = max_concurrence(params, horizon=args.horizon, tol=args.tol,
                                       coeffs=coeffs.without_d() if args.no_d else coeffs)
     if args.format == "text":
-        print(f"tau_star = {tau_star:.12g}")
-        print(f"c_max = {c_max:.12g}")
+        text = f"tau_star = {tau_star:.12g}\nc_max = {c_max:.12g}\n"
     elif args.format == "json":
-        _write(json.dumps({"tau_star": tau_star, "c_max": c_max}) + "\n", args.out)
+        text = json.dumps({"tau_star": tau_star, "c_max": c_max}) + "\n"
     else:
-        _write("tau_star,c_max\n" + f"{tau_star:.17g},{c_max:.17g}\n", args.out)
+        text = "tau_star,c_max\n" + f"{tau_star:.17g},{c_max:.17g}\n"
+    _write(text, args.out)
     return 0
 
 
@@ -211,15 +212,13 @@ def cmd_figure(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
     for i, spec in enumerate(specs):
-        result = run_sweep(spec)
         slug = _panel_slug(specs, i)
-        for variant in spec.variants:
-            rows = [r for r in result.rows if r.variant == variant]
+        for part in run_sweep(spec).split_variants():
+            variant = part.spec.variants[0]
             stem = f"fig{args.number}_{slug}_{variant}" if slug else \
                 f"fig{args.number}_{variant}"
             path = args.out / f"{stem}.{args.format}"
-            emit(SweepResult(spec=replace(spec, variants=(variant,)), rows=rows),
-                 args.format, path)
+            emit(part, args.format, path)
             written.append(path)
     for path in written:
         print(path)

@@ -119,11 +119,17 @@ def concurrence_general(rho: np.ndarray) -> float:
 def generation_rate(coeffs: CoefficientSet) -> GenerationReport:
     """Initial growth rate of the concurrence from the separable '10' state:
     rate = 4 sqrt(a2^2 + d^2) - 4 sqrt(a1^2 - b1^2)."""
-    disc = coeffs.a1 ** 2 - coeffs.b1 ** 2
-    if disc < -1e-12 * max(coeffs.a1 ** 2, coeffs.b1 ** 2, 1e-300):
+    return GenerationReport(_generation_rate(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.d))
+
+
+def _generation_rate(a1: float, a2: float, b1: float, d: float) -> float:
+    """The rate of `generation_rate` from plain floats; the one implementation
+    of the formula."""
+    a1_sq, b1_sq = a1 ** 2, b1 ** 2
+    disc = a1_sq - b1_sq
+    if disc < -1e-12 * max(a1_sq, b1_sq, 1e-300):
         raise DomainError(f"a1^2 - b1^2 = {disc:.3e} < 0; invalid coefficient set")
-    rate = 4.0 * math.hypot(coeffs.a2, coeffs.d) - 4.0 * math.sqrt(max(disc, 0.0))
-    return GenerationReport(rate)
+    return 4.0 * math.hypot(a2, d) - 4.0 * math.sqrt(max(disc, 0.0))
 
 
 def k1_closed(tau: float, populations, coeffs: CoefficientSet) -> float:

@@ -71,14 +71,18 @@ class CoefficientSet:
     d: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a1, self.a2, self.b1, self.b2, self.d))):
-            for name in ("a1", "a2", "b1", "b2", "d"):
-                if not math.isfinite(getattr(self, name)):
-                    raise DomainError(f"coefficient {name} must be finite")
+        _check_finite((self.a1, self.a2, self.b1, self.b2, self.d))
 
     def without_d(self) -> "CoefficientSet":
         """Same dissipative rates with the coherent coupling d forced to 0."""
         return CoefficientSet(self.a1, self.a2, self.b1, self.b2, 0.0)
+
+
+def _check_finite(values):
+    """Raise DomainError naming the first non-finite one of (a1, a2, b1, b2, d)."""
+    for name, value in zip(("a1", "a2", "b1", "b2", "d"), values):
+        if not math.isfinite(value):
+            raise DomainError(f"coefficient {name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -177,19 +181,22 @@ def compute_coefficients(params: SystemParams) -> CoefficientSet:
     b1, b2: same brackets without the thermal coth factor
     d  = (1/4) [h(omega, L/2) - h(omega, sqrt(L^2/4 + z^2))]
     """
-    om, a, z, l = params.omega, params.accel, params.z, params.l
+    return CoefficientSet(*_coefficients(params.omega, params.accel, params.z, params.l))
+
+
+def _coefficients(om: float, a: float, z: float, l: float) -> tuple:
+    """(a1, a2, b1, b2, d) of `compute_coefficients` from plain floats; the
+    one implementation of the five rates. Raises DomainError as
+    `_check_kernel_args` and `CoefficientSet` do."""
     quarter = 0.25
     thermal = coth(math.pi * om / a) if a > 0.0 else 1.0
     diag = math.sqrt(l * l / 4.0 + z * z)
     f_half, h_half = _kernel_pair(om, a, l / 2.0)
     f_diag, h_diag = _kernel_pair(om, a, diag)
-    bracket_self = 1.0 - kernel_f(om, a, z)
+    bracket_self = 1.0 - _kernel_pair(om, a, z)[0]
     bracket_cross = f_half - f_diag
     d_cross = h_half - h_diag
-    return CoefficientSet(
-        a1=quarter * thermal * bracket_self,
-        a2=quarter * thermal * bracket_cross,
-        b1=quarter * bracket_self,
-        b2=quarter * bracket_cross,
-        d=quarter * d_cross,
-    )
+    values = (quarter * thermal * bracket_self, quarter * thermal * bracket_cross,
+              quarter * bracket_self, quarter * bracket_cross, quarter * d_cross)
+    _check_finite(values)
+    return values

@@ -8,22 +8,28 @@ coefficient set and once with the coherent interatomic coupling d forced to
 zero (the "without interaction" curve).
 Rows are deterministic: ordered by grid point, with_D before without_D, and
 floats are serialized with 17 significant digits so emitted files are
-byte-stable and round-trippable.
+byte-stable and round-trippable. A result stores its rows as columns, and
+rate and coefficient sweeps fill them from plain floats.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .concurrence import generation_rate, max_concurrence
-from .correlations import CoefficientSet, SystemParams, compute_coefficients
+from .concurrence import _generation_rate, max_concurrence
+from .correlations import (CoefficientSet, SystemParams, _coefficients,
+                           compute_coefficients)
 from .errors import NUMERICAL_ERRORS, DomainError
 from .evolution import (default_time_grid, evolve_closed, prepare_initial,
                         tau_horizon)
@@ -37,6 +43,11 @@ _UNITS = {"rates": "gamma0", "times": "1/gamma0", "lengths": "1/omega"}
 
 CSV_COLUMNS = ("axis_value", "variant", "quantity",
                "a1", "a2", "b1", "b2", "d", "error_marker")
+
+# the columns of a SweepResult, in the order of CSV_COLUMNS; a1..d are None
+# in a row without coefficients
+Columns = namedtuple("Columns", ("axis_value", "variant", "value",
+                                 "a1", "a2", "b1", "b2", "d", "error"))
 
 
 def _admissible(key: str, x: float) -> bool:
@@ -132,13 +143,79 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SweepResult:
-    spec: SweepSpec
-    rows: tuple
+    """The rows of a sweep, stored as columns: row i is
+    `tuple(col[i] for col in columns)`. Build one from its SweepRows,
+    `SweepResult(spec, rows)`, or from its columns,
+    `SweepResult(spec, columns=...)`; `rows` is a view of the columns as
+    SweepRows, built on first use."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
+    spec: SweepSpec
+    columns: Columns
+
+    def __init__(self, spec: SweepSpec, rows=None, *, columns=None):
+        if (rows is None) == (columns is None):
+            raise TypeError("SweepResult takes either rows or columns")
+        object.__setattr__(self, "spec", spec)
+        if columns is None:
+            rows = tuple(rows)
+            self.__dict__["rows"] = rows
+            columns = zip(*(_record(r.axis_value, r.variant, r.value, r.coeffs, r.error)
+                            for r in rows)) if rows else ((),) * 9
+        object.__setattr__(self, "columns", Columns(*map(tuple, columns)))
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(SweepRow(x, variant, value,
+                              None if a1 is None else CoefficientSet(a1, a2, b1, b2, d), error)
+                     for x, variant, value, a1, a2, b1, b2, d, error in zip(*self.columns))
+
+    def split_variants(self) -> list:
+        """One result per variant of the spec, in its order, with the rows of
+        that variant and the spec restricted to it (a copy: the grid was
+        validated once)."""
+        parts = []
+        for variant in self.spec.variants:
+            spec = copy.copy(self.spec)
+            object.__setattr__(spec, "variants", (variant,))
+            keep = [v == variant for v in self.columns.variant]
+            parts.append(SweepResult(spec, columns=[compress(col, keep) for col in self.columns]))
+        return parts
+
+
+def _record(axis_value, variant, value, coeffs, error=None) -> tuple:
+    """A row in column order; `coeffs` is a CoefficientSet or None."""
+    c = (None,) * 5 if coeffs is None else (coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.d)
+    return (axis_value, variant, value, *c, error)
+
+
+def _coefficient_rows(spec: SweepSpec) -> list:
+    """The rows of a rate or coefficients sweep, computed from plain floats:
+    the coefficients once per grid point, then the rate per variant, with
+    d = 0 for without_D. SweepSpec has already checked every value
+    SystemParams would check. A failure of the coefficients marks every
+    variant's row; a failure of the rate marks its own."""
+    dims = dict(spec.fixed)
+    rate = spec.quantity == "rate"
+    rows = []
+    for g in spec.grid:
+        dims[spec.axis] = g
+        try:
+            a1, a2, b1, b2, d = _coefficients(1.0, dims["a_over_omega"],
+                                              dims["z_omega"], dims["l_omega"])
+        except NUMERICAL_ERRORS as exc:
+            rows.extend(_record(g, v, None, None, str(exc)) for v in spec.variants)
+            continue
+        for variant in spec.variants:
+            dv = d if variant == "with_D" else 0.0
+            value = error = None
+            try:
+                value = _generation_rate(a1, a2, b1, dv) if rate else None
+            except NUMERICAL_ERRORS as exc:
+                error = str(exc)
+            rows.append((g, variant, value, a1, a2, b1, b2, dv, error))
+    return rows
 
 
 def _params_at(spec: SweepSpec, axis_value: float) -> SystemParams:
@@ -149,29 +226,26 @@ def _params_at(spec: SweepSpec, axis_value: float) -> SystemParams:
 
 
 def _evaluate_point(spec: SweepSpec, axis_value: float) -> list:
-    """The rows of one grid point: the coefficients once, then the quantity
-    per variant. A failure of the coefficients marks every variant's row."""
+    """The rows of one grid point of a cmax or tau sweep: the coefficients
+    once, then the quantity per variant. A failure of the coefficients marks
+    every variant's row."""
     try:
         params = _params_at(spec, axis_value)
         full = compute_coefficients(params)
     except NUMERICAL_ERRORS as exc:
-        return [SweepRow(axis_value, v, None, None, error=str(exc)) for v in spec.variants]
+        return [_record(axis_value, v, None, None, str(exc)) for v in spec.variants]
     rows = []
     for variant in spec.variants:
         coeffs = full.without_d() if variant == "without_D" else full
         try:
-            if spec.quantity == "coefficients":
-                value = None
-            elif spec.quantity == "rate":
-                value = generation_rate(coeffs).rate
-            elif spec.quantity == "cmax":
+            if spec.quantity == "cmax":
                 value = max_concurrence(params, coeffs=coeffs)[1]
             else:  # concurrence_t at tau = axis_value
                 value = float(evolve_closed(prepare_initial("ten"), coeffs,
                                             [axis_value]).concurrence[0])
-            rows.append(SweepRow(axis_value, variant, value, coeffs))
+            rows.append(_record(axis_value, variant, value, coeffs))
         except NUMERICAL_ERRORS as exc:
-            rows.append(SweepRow(axis_value, variant, None, coeffs, error=str(exc)))
+            rows.append(_record(axis_value, variant, None, coeffs, str(exc)))
     return rows
 
 
@@ -185,11 +259,11 @@ def _tau_rows(spec: SweepSpec) -> list:
         curves = []
         for variant in spec.variants:
             c = coeffs.without_d() if variant == "without_D" else coeffs
-            curves.append((variant, c, evolve_closed(prepare_initial("ten"), c,
-                                                     spec.grid).concurrence))
+            curves.append((variant, astuple(c), evolve_closed(prepare_initial("ten"), c,
+                                                              spec.grid).concurrence.tolist()))
     except NUMERICAL_ERRORS:
         return _pointwise(spec)
-    return [SweepRow(g, variant, float(conc[i]), c)
+    return [(g, variant, conc[i], *c, None)
             for i, g in enumerate(spec.grid) for variant, c, conc in curves]
 
 
@@ -203,8 +277,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
-    rows = _tau_rows(spec) if spec.axis == "tau" else _pointwise(spec)
-    return SweepResult(spec=spec, rows=rows)
+    if spec.quantity in ("rate", "coefficients"):
+        rows = _coefficient_rows(spec)
+    else:
+        rows = _tau_rows(spec) if spec.axis == "tau" else _pointwise(spec)
+    return SweepResult(spec, columns=zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +354,13 @@ def _fnum(x) -> str:
     return "%.17g" % x  # format(float(x), ".17g") for every int and float x
 
 
-def _numbers(row: SweepRow) -> tuple:
-    """The value and the five coefficients of a row, None where missing."""
-    c = row.coeffs
-    return (row.value, *((None,) * 5 if c is None else (c.a1, c.a2, c.b1, c.b2, c.d)))
-
-
-def _row_cells(row: SweepRow) -> list:
-    return [_fnum(row.axis_value), row.variant,
-            *("" if x is None else _fnum(x) for x in _numbers(row)), row.error or ""]
-
-
-def _complete_values(row: SweepRow):
-    """The values of a complete row (a value, coefficients, no error and a
-    variant that needs no quoting) in column order, for the one-template
-    renderings below; None for any other row, which goes cell by cell."""
-    c = row.coeffs
-    if (row.error is None and row.value is not None and c is not None
-            and row.variant in VARIANTS):
-        return (row.axis_value, row.variant, row.value, c.a1, c.a2, c.b1, c.b2, c.d)
-    return None
+def _lines(result: SweepResult, template: str, line_of) -> list:
+    """One line per row of the result: a complete row (a value,
+    coefficients, no error and a variant that needs no quoting) through
+    `template` from its first eight values, any other through `line_of`."""
+    return [template % row[:8] if (row[8] is None and row[2] is not None
+                                   and row[3] is not None and row[1] in VARIANTS)
+            else line_of(row) for row in zip(*result.columns)]
 
 
 # a complete row has a float in every column but the variant, and no error
@@ -304,20 +368,17 @@ _COMPLETE_CELL = {"variant": "%s", "error_marker": ""}
 _CSV_ROW = ",".join(_COMPLETE_CELL.get(col, "%.17g") for col in CSV_COLUMNS)
 
 
+def _csv_line(row: tuple) -> str:
+    """A row cell by cell; a cell holding a comma, a quote or a newline is quoted."""
+    axis_value, variant, *numbers, error = row
+    cells = [_fnum(axis_value), variant,
+             *("" if x is None else _fnum(x) for x in numbers), error or ""]
+    return ",".join('"' + cell.replace('"', '""') + '"'
+                    if ("," in cell or '"' in cell or "\n" in cell) else cell for cell in cells)
+
+
 def render_csv(result: SweepResult) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in result.rows:
-        values = _complete_values(row)
-        if values is not None:
-            lines.append(_CSV_ROW % values)
-            continue
-        cells = _row_cells(row)
-        if any("," in cell or '"' in cell or "\n" in cell for cell in cells):
-            cells = ['"' + cell.replace('"', '""') + '"' if
-                     ("," in cell or '"' in cell or "\n" in cell) else cell
-                     for cell in cells]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(CSV_COLUMNS), *_lines(result, _CSV_ROW, _csv_line)]) + "\n"
 
 
 def _jstr(s) -> str:
@@ -332,12 +393,18 @@ _JSON_CELLS = "    {" + ", ".join(f'"{col}": %s' for col in CSV_COLUMNS) + "}"
 _JSON_ROW = _JSON_CELLS % ("%.17g", '"%s"', *["%.17g"] * 6, "null")
 
 
+def _json_line(row: tuple) -> str:
+    axis_value, variant, *numbers, error = row
+    return _JSON_CELLS % (_fnum(axis_value), _jstr(variant), *map(_jnum, numbers),
+                          "null" if error is None else _jstr(error))
+
+
 def render_json(result: SweepResult) -> str:
     """Deterministic JSON with a metadata header; floats carry 17 significant
     digits so emit -> parse -> emit is byte-identical."""
     spec = result.spec.to_dict()
     fixed = ", ".join(f"{_jstr(k)}: {_jnum(v)}" for k, v in spec["fixed"].items())
-    grid = ", ".join(_jnum(g) for g in spec["grid"])
+    grid = ", ".join(map(_fnum, spec["grid"]))
     variants = ", ".join(_jstr(v) for v in spec["variants"])
     units = ", ".join(f"{_jstr(k)}: {_jstr(v)}" for k, v in sorted(_UNITS.items()))
     out = [
@@ -351,16 +418,7 @@ def render_json(result: SweepResult) -> str:
         "  },",
         '  "rows": [',
     ]
-    body = []
-    for row in result.rows:
-        values = _complete_values(row)
-        if values is not None:
-            body.append(_JSON_ROW % values)
-            continue
-        body.append(_JSON_CELLS % (_fnum(row.axis_value), _jstr(row.variant),
-                                   *map(_jnum, _numbers(row)),
-                                   "null" if row.error is None else _jstr(row.error)))
-    out.append(",\n".join(body))
+    out.append(",\n".join(_lines(result, _JSON_ROW, _json_line)))
     out.extend(["  ]", "}"])
     return "\n".join(out) + "\n"
 

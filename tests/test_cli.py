@@ -68,6 +68,15 @@ def test_evolve_json(capsys):
     assert len(doc["rows"]) == 6
 
 
+@pytest.mark.parametrize("command", ["rate", "coefficients", "cmax"])
+def test_text_format_goes_to_out(tmp_path, capsys, command):
+    out = tmp_path / "t.txt"
+    assert main([command, *ANCHOR, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([command, *ANCHOR]) == 0
+    assert out.read_text() == capsys.readouterr().out != ""
+
+
 def test_cmax_text(capsys):
     assert main(["cmax", *ANCHOR]) == 0
     out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
@@ -355,16 +364,35 @@ _FIGURE_DIGESTS = {
         "012a8fa9cc7f25b77371bf611c55b4791ba00d15d8cf6156bb88a993ca8506d2",
     ("10", "--points", "5", "--format", "json"):
         "2bfb52317f48786acc0727ba1d6e7ead312e33f212b84e7b157a8f8c71fb0148",
+    # the rate figures at the benchmark's density, and one in CSV
+    ("2", "--points", "1500", "--format", "json"):
+        "57c0baac94f4728cd549f15dc0e8d4da8b0203f1e2eccd90c1affb206f74e147",
+    ("3", "--points", "1500", "--format", "json"):
+        "b5e6b237bae6b6cf2fb56c3a9609d8ade0ab137d847c2e2b692a3967e375effb",
+    ("4", "--points", "1500", "--format", "json"):
+        "4dbb6d1ecdf5a640dabdfc72599e9062afe8d6b4db2016950bd04f1aebb79b6f",
+    ("3", "--points", "40", "--format", "csv"):
+        "117076f59db5ac213b6ad80498fd7e33f1bd15fc86def4726798e0f93612e33b",
 }
 
 
-@pytest.mark.parametrize("figure", sorted(_FIGURE_DIGESTS), ids=lambda f: f"fig{f[0]}")
+def _digest_id(figure) -> str:
+    """fig<N> for a figure's first digest, fig<N>-<points>-<format> for the others."""
+    first = next(key for key in _FIGURE_DIGESTS if key[0] == figure[0])
+    if figure == first:
+        return f"fig{figure[0]}"
+    return "-".join([f"fig{figure[0]}", *(w for w in figure[1:] if not w.startswith("--"))])
+
+
+@pytest.mark.parametrize("figure", sorted(_FIGURE_DIGESTS), ids=_digest_id)
 def test_figure_bytes_are_pinned(tmp_path, capsys, figure):
     """The emitted bytes of figures 2-10 against digests recorded before the
     row templates and the kernel pair replaced per-cell formatting and per-
-    kernel calls. The digests belong to the libm they were recorded with
-    (glibc 2.36, x86_64, numpy 2.4.6): another libm may round sin, cos,
-    asinh or exp differently in the last bit. A change that alters rows on
+    kernel calls; those of figures 2-4 at 1500 points and of figure 3 in
+    CSV were recorded before sweeps stored columns. The digests belong to
+    the libm they were recorded with (glibc 2.36, x86_64, numpy 2.4.6):
+    another libm may round sin, cos, asinh or exp differently in the last
+    bit. A change that alters rows on
     purpose updates the digests here and names the rows that changed."""
     out = tmp_path / "out"
     assert main(["figure", figure[0], "--out", str(out), *figure[1:]]) == 0

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from mirroratoms import (CoefficientSet, DomainError, SystemParams, compute_coefficients,
                          coth, kernel_f, kernel_h, spectral_density)
-from mirroratoms.correlations import INERTIAL_SWITCH, _kernel_pair
+from mirroratoms.concurrence import _generation_rate, generation_rate
+from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernel_pair
 
 import reference as ref
 
@@ -171,6 +172,63 @@ def test_kernel_pair_takes_both_branches_at_the_switch():
             _bits(*_separate_kernels(1.3, accel, d))
     with pytest.raises(DomainError):
         _kernel_pair(1.0, 1.0, 0.0)
+
+
+def _coefficients_by_kernel(om, a, z, l):
+    """The five rates of compute_coefficients' docstring, written out from
+    the public kernels."""
+    thermal = coth(math.pi * om / a) if a > 0.0 else 1.0
+    diag = math.sqrt(l * l / 4.0 + z * z)
+    self_ = 1.0 - kernel_f(om, a, z)
+    cross = kernel_f(om, a, l / 2.0) - kernel_f(om, a, diag)
+    return (0.25 * thermal * self_, 0.25 * thermal * cross, 0.25 * self_, 0.25 * cross,
+            0.25 * (kernel_h(om, a, l / 2.0) - kernel_h(om, a, diag)))
+
+
+_DISTANCE = st.floats(1e-3, 1e4)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(z=_DISTANCE, l=_DISTANCE, accel=st.floats(0.0, 1e2),
+       branch=st.sampled_from(["inertial", "switch", "any"]), ratio=st.floats(0.5, 2.0),
+       at=st.sampled_from(["z", "l/2", "diag"]))
+def test_float_level_kernels_are_bitwise_their_wrappers(z, l, accel, branch, ratio, at):
+    # `branch` puts a/omega at 0, or accel*d within a factor 2 of
+    # INERTIAL_SWITCH (either side) for one of the three distances
+    if branch == "inertial":
+        accel = 0.0
+    elif branch == "switch":
+        d = {"z": z, "l/2": l / 2.0, "diag": math.sqrt(l * l / 4.0 + z * z)}[at]
+        accel = ratio * INERTIAL_SWITCH / d
+    values = _coefficients(1.0, accel, z, l)
+    coeffs = compute_coefficients(SystemParams(omega=1.0, accel=accel, z=z, l=l))
+    assert _bits(*values) == _bits(*dataclasses.astuple(coeffs)) == \
+        _bits(*_coefficients_by_kernel(1.0, accel, z, l))
+    for c in (coeffs, coeffs.without_d()):
+        assert _bits(_generation_rate(c.a1, c.a2, c.b1, c.d)) == \
+            _bits(generation_rate(c).rate) == \
+            _bits(4.0 * math.hypot(c.a2, c.d) - 4.0 * math.sqrt(max(c.a1 ** 2 - c.b1 ** 2, 0.0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(b1=st.floats(1e-6, 1.0), ratio=st.floats(0.0, 0.999), a2=st.floats(-1.0, 1.0),
+       d=st.floats(-1.0, 1.0))
+def test_float_level_rate_and_wrapper_raise_the_same_disc_error(b1, ratio, a2, d):
+    a1 = ratio * b1  # a1^2 - b1^2 < 0 well beyond the roundoff allowance
+    with pytest.raises(DomainError, match="invalid coefficient set") as bare:
+        _generation_rate(a1, a2, b1, d)
+    with pytest.raises(DomainError) as wrapped:
+        generation_rate(CoefficientSet(a1, a2, b1, 0.0, d))
+    assert str(bare.value) == str(wrapped.value)
+
+
+def test_float_level_coefficients_raise_the_wrapper_errors():
+    for z, l in ((1e155, 0.3), (0.4, 1e200)):  # the diagonal distance overflows
+        with pytest.raises(DomainError, match="d must be > 0, got inf") as bare:
+            _coefficients(1.0, 1.0, z, l)
+        with pytest.raises(DomainError) as wrapped:
+            compute_coefficients(SystemParams.from_dimensionless(z, 1.0, l))
+        assert str(bare.value) == str(wrapped.value)
 
 
 _RATE = st.floats(allow_nan=False, allow_infinity=False)

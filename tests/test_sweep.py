@@ -2,17 +2,20 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mirroratoms.concurrence as concurrence_mod
 import mirroratoms.sweep as sweep_mod
 from mirroratoms import (CoefficientSet, DomainError, InvariantError, SweepResult,
                          SweepRow, SweepSpec, SystemParams, compute_coefficients,
                          emit, generation_rate, load_result, preset, run_sweep)
-from mirroratoms.sweep import (CSV_COLUMNS, _fnum, _jnum, _jstr, _row_cells,
-                               render_csv, render_json)
+from mirroratoms.correlations import INERTIAL_SWITCH
+from mirroratoms.sweep import (CSV_COLUMNS, VARIANTS, _fnum, _jnum, _jstr, render_csv,
+                               render_json)
 
 
 def rate_spec(grid=(0.2, 0.4, 1.0), variants=("with_D", "without_D")):
@@ -187,14 +190,16 @@ def test_rows_ordered_grid_major_with_d_first():
 
 
 def _count_coefficient_calls(monkeypatch) -> list:
+    """Count coefficient evaluations through both seams of a sweep:
+    `compute_coefficients` (cmax and tau sweeps) and the float-level
+    `_coefficients` (rate and coefficients sweeps)."""
     calls = []
-    real = sweep_mod.compute_coefficients
+    for name in ("compute_coefficients", "_coefficients"):
+        def counted(*args, real=getattr(sweep_mod, name)):
+            calls.append(args)
+            return real(*args)
 
-    def counted(params):
-        calls.append(params)
-        return real(params)
-
-    monkeypatch.setattr(sweep_mod, "compute_coefficients", counted)
+        monkeypatch.setattr(sweep_mod, name, counted)
     return calls
 
 
@@ -212,11 +217,11 @@ def test_coefficients_computed_once_per_grid_point(monkeypatch, quantity):
 def test_coefficient_failure_marks_every_variant(monkeypatch):
     calls = []
 
-    def refused(params):
-        calls.append(params)
+    def refused(*args):
+        calls.append(args)
         raise DomainError("forced coefficient failure")
 
-    monkeypatch.setattr(sweep_mod, "compute_coefficients", refused)
+    monkeypatch.setattr(sweep_mod, "_coefficients", refused)
     result = run_sweep(rate_spec(grid=(0.4,)))
     assert len(calls) == 1
     assert [(r.variant, r.value, r.coeffs, r.error) for r in result.rows] == [
@@ -225,20 +230,104 @@ def test_coefficient_failure_marks_every_variant(monkeypatch):
 
 
 def test_row_errors_are_local(monkeypatch):
-    calls = {}
+    real = sweep_mod._generation_rate
 
-    def flaky(coeffs):
-        if coeffs.d == 0.0:
+    def flaky(a1, a2, b1, d):
+        if d == 0.0:
             raise DomainError("forced failure")
-        return generation_rate(coeffs)
+        return real(a1, a2, b1, d)
 
-    monkeypatch.setattr(sweep_mod, "generation_rate", flaky)
+    monkeypatch.setattr(sweep_mod, "_generation_rate", flaky)
     result = run_sweep(rate_spec())
     calls = [(r.variant, r.error is None) for r in result.rows]
     assert calls == [("with_D", True), ("without_D", False)] * 3
     bad = result.rows[1]
     assert bad.value is None and bad.error == "forced failure"
     assert bad.coeffs is not None  # coefficients were computed before the failure
+
+
+def _per_point_rows(spec):
+    """A rate or coefficients sweep row by row from the objects its columns
+    stand in for: SystemParams, compute_coefficients and generation_rate."""
+    rows = []
+    for g in spec.grid:
+        try:
+            full = compute_coefficients(SystemParams.from_dimensionless(
+                **{**spec.fixed, spec.axis: g}))
+        except DomainError as exc:
+            rows.extend(SweepRow(g, v, None, None, str(exc)) for v in spec.variants)
+            continue
+        for variant in spec.variants:
+            coeffs = full if variant == "with_D" else full.without_d()
+            try:
+                value = generation_rate(coeffs).rate if spec.quantity == "rate" else None
+            except DomainError as exc:
+                rows.append(SweepRow(g, variant, None, coeffs, str(exc)))
+            else:
+                rows.append(SweepRow(g, variant, value, coeffs))
+    return tuple(rows)
+
+
+# (axis, grid, fixed, whether a coefficient set fails): omega*z = 1e155 or
+# omega*L = 1e200 overflows the diagonal distance to inf
+_COLUMNAR_SPECS = [
+    pytest.param("z_omega", (0.4, 1e155, 1e200), {"a_over_omega": 1.0, "l_omega": 0.3},
+                 True, id="z-overflow"),
+    pytest.param("a_over_omega",
+                 (0.0, 0.5 * INERTIAL_SWITCH / 0.4, 2.0 * INERTIAL_SWITCH / 0.4, 2.7),
+                 {"z_omega": 0.4, "l_omega": 0.3}, False, id="a-switch"),
+    pytest.param("l_omega", (0.05, 3.0, 1e200), {"a_over_omega": 0.0, "z_omega": 20.0},
+                 True, id="l-overflow-inertial"),
+]
+
+
+@pytest.mark.parametrize("variants", [VARIANTS, ("without_D",)], ids=["both", "without_D"])
+@pytest.mark.parametrize("quantity", ["rate", "coefficients"])
+@pytest.mark.parametrize("failing_rate", [False, True], ids=["", "rate-fails"])
+@pytest.mark.parametrize("axis, grid, fixed, failing_point", _COLUMNAR_SPECS)
+def test_columns_match_per_point_rows(monkeypatch, tmp_path, axis, grid, fixed,
+                                      failing_point, failing_rate, quantity, variants):
+    if failing_rate:  # the rate of without_D fails, through both paths
+        real = concurrence_mod._generation_rate
+
+        def flaky(a1, a2, b1, d):
+            if d == 0.0:
+                raise DomainError("forced rate failure")
+            return real(a1, a2, b1, d)
+
+        monkeypatch.setattr(concurrence_mod, "_generation_rate", flaky)
+        monkeypatch.setattr(sweep_mod, "_generation_rate", flaky)
+    spec = SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
+                     variants=variants)
+    result, expected = run_sweep(spec), _per_point_rows(spec)
+    assert result.rows == expected
+    assert any(r.error is not None for r in expected) == \
+        (failing_point or failing_rate and quantity == "rate")
+    by_rows = SweepResult(spec=spec, rows=expected)
+    assert result == by_rows
+    assert render_csv(result) == render_csv(by_rows) == _csv_by_cell(by_rows)
+    assert render_json(result) == render_json(by_rows) == _json_by_cell(by_rows)
+    path = emit(result, "json", tmp_path / "r.json")
+    assert render_json(load_result(path)) == path.read_text()
+    for part, variant in zip(result.split_variants(), spec.variants):
+        alone = replace(spec, variants=(variant,))
+        assert part == SweepResult(alone, [r for r in expected if r.variant == variant])
+        assert render_json(part) == render_json(run_sweep(alone))
+
+
+def test_split_variants_does_not_validate_the_grid_again(monkeypatch):
+    result = run_sweep(rate_spec())
+    monkeypatch.setattr(sweep_mod, "_number", None)  # any validation would fail
+    assert [p.spec.variants for p in result.split_variants()] == [("with_D",), ("without_D",)]
+
+
+def test_result_takes_rows_or_columns():
+    spec = rate_spec()
+    result = run_sweep(spec)
+    assert SweepResult(spec, columns=result.columns) == result
+    for bad in ({}, {"rows": result.rows, "columns": result.columns}):
+        with pytest.raises(TypeError):
+            SweepResult(spec, **bad)
 
 
 def test_tau_axis_sweep_evaluates_concurrence():
@@ -252,8 +341,8 @@ def test_tau_axis_sweep_evaluates_concurrence():
 
 def _per_stamp(spec):
     """The reference path: every tau stamp and variant evaluated on its own."""
-    return SweepResult(spec=spec, rows=[row for g in spec.grid
-                                        for row in sweep_mod._evaluate_point(spec, g)])
+    return SweepResult(spec, columns=zip(*[row for g in spec.grid
+                                           for row in sweep_mod._evaluate_point(spec, g)]))
 
 
 def test_tau_sweep_bytes_match_per_stamp_evaluation():
@@ -395,9 +484,13 @@ def test_json_carries_metadata(tmp_path):
 def _csv_by_cell(result):
     lines = [",".join(CSV_COLUMNS)]
     for row in result.rows:
+        c = row.coeffs
+        numbers = [row.value, *([None] * 5 if c is None else [c.a1, c.a2, c.b1, c.b2, c.d])]
+        cells = [_fnum(row.axis_value), row.variant,
+                 *("" if x is None else _fnum(x) for x in numbers), row.error or ""]
         cells = ['"' + cell.replace('"', '""') + '"'
                  if ("," in cell or '"' in cell or "\n" in cell) else cell
-                 for cell in _row_cells(row)]
+                 for cell in cells]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
