@@ -208,6 +208,8 @@ def _panel_slug(specs, index: int) -> str:
 def cmd_figure(args) -> int:
     if args.points < 1:
         raise ConfigError(f"--points must be a positive integer, got {args.points}")
+    if args.points > MAX_GRID_POINTS:
+        raise ConfigError(f"--points must lie in [1, {MAX_GRID_POINTS}], got {args.points}")
     specs = preset(args.number, points=args.points)
     args.out.mkdir(parents=True, exist_ok=True)
     written = []

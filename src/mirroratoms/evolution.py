@@ -8,13 +8,15 @@ two decoupled scalar equations for the coherences:
     c_as' = -4 (a1 + i d) c_as        c_ge' = -4 a1 c_ge
 
 The closed solver exponentiates the population generator; the fixed-step
-4th-order integrator is kept as an independent cross-check.
+4th-order integrator is kept as an independent cross-check. Both return
+arrays over the time stamps, checked at once by `x_invariants`, as XState is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +30,51 @@ _STEP_BUDGET = 2 ** 20
 _NUMERIC_STAMPS = 200  # output intervals of the fixed-step integrator
 
 
+_POPULATIONS = ("p_gg", "p_ee", "p_aa", "p_ss")
+# x_invariants' failure messages in check order; a population has two checks
+_X_CHECKS = (*((f"population {name} is not finite", f"population {name} = {{p}} below -{{tol:g}}")
+               for name in _POPULATIONS),
+             "coherence c_as is not finite", "coherence c_ge is not finite",
+             "trace deviates from 1 by {drift:.3e}", "coherence c_as violates |c|^2 <= p_aa*p_ss",
+             "coherence c_ge violates |c|^2 <= p_gg*p_ee")
+
+
+def x_invariants(p_gg, p_ee, p_aa, p_ss, c_as, c_ge, tol):
+    """The checks of an XState, elementwise over arrays of X-state entries
+    (scalars are one state), in order: each population finite and >= -tol, each
+    coherence finite, then, with negative populations clamped to 0, the trace
+    within tol of 1 and |c_as|^2 <= p_aa p_ss + tol, |c_ge|^2 <= p_gg p_ee + tol
+    (squares are products, as in x_concurrence). Returns the clamped populations
+    (4, n) and the coherences as complex arrays; InvariantError otherwise, with
+    the message of the first failing state's first failing check."""
+    pops = np.array([p_gg, p_ee, p_aa, p_ss], dtype=float).reshape(4, -1)
+    coh = np.array([c_as, c_ge], dtype=complex).reshape(2, -1)
+    held = np.where(pops < 0.0, 0.0, pops)
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = held[0] + held[1] + held[2] + held[3] - 1.0
+        mod = np.hypot(coh.real, coh.imag)
+        failing = np.concatenate([  # one row per entry of _X_CHECKS
+            ~(np.isfinite(pops) & (pops >= -tol)), ~np.isfinite(coh), [np.abs(drift) > tol],
+            mod * mod > held[2::-2] * held[3::-2] + tol])  # (aa, gg) * (ss, ee)
+    if not failing.any():
+        return held, coh[0], coh[1]
+    i = int(np.argmax(failing.any(axis=0)))
+    k = int(np.argmax(failing[:, i]))
+    message, p = _X_CHECKS[k], float(pops[min(k, 3), i])
+    if k < 4:  # a population that is not finite, or finite and below -tol
+        message = message[math.isfinite(p)]
+    raise InvariantError(message.format(p=p, tol=tol, drift=float(drift[i])))
+
+
 @dataclass(frozen=True)
 class XState:
     """Two-atom X-form density matrix in the coupled basis.
 
     Populations p_gg, p_ee, p_aa, p_ss plus the two independent coherences
     c_as (antisymmetric/symmetric) and c_ge (ground/doubly-excited); the
-    conjugate entries are implied. Construction validates trace, clamps
-    populations that are negative within `tol`, and rejects states whose
-    coherences exceed the positivity bound by more than `tol`.
+    conjugate entries are implied. Construction (`x_invariants`) validates
+    trace, clamps populations that are negative within `tol`, and rejects
+    states whose coherences exceed the positivity bound by more than `tol`.
     """
 
     p_gg: float
@@ -48,24 +86,11 @@ class XState:
     tol: float = field(default=HARD_TOL, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("p_gg", "p_ee", "p_aa", "p_ss"):
-            p = float(getattr(self, name))
-            if not math.isfinite(p):
-                raise InvariantError(f"population {name} is not finite")
-            if p < -self.tol:
-                raise InvariantError(f"population {name} = {p} below -{self.tol:g}")
-            object.__setattr__(self, name, 0.0 if p < 0.0 else p)
-        for name in ("c_as", "c_ge"):
-            c = complex(getattr(self, name))
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise InvariantError(f"coherence {name} is not finite")
-            object.__setattr__(self, name, c)
-        if abs(self.trace - 1.0) > self.tol:
-            raise InvariantError(f"trace deviates from 1 by {self.trace - 1.0:.3e}")
-        if abs(self.c_as) ** 2 > self.p_aa * self.p_ss + self.tol:
-            raise InvariantError("coherence c_as violates |c|^2 <= p_aa*p_ss")
-        if abs(self.c_ge) ** 2 > self.p_gg * self.p_ee + self.tol:
-            raise InvariantError("coherence c_ge violates |c|^2 <= p_gg*p_ee")
+        held, c_as, c_ge = x_invariants(self.p_gg, self.p_ee, self.p_aa, self.p_ss,
+                                        self.c_as, self.c_ge, self.tol)
+        for name, value in zip((*_POPULATIONS, "c_as", "c_ge"),
+                               (*held[:, 0].tolist(), complex(c_as[0]), complex(c_ge[0]))):
+            object.__setattr__(self, name, value)
 
     @property
     def trace(self) -> float:
@@ -91,38 +116,37 @@ class StateDerivative:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """A trajectory: strictly increasing proper-time stamps with one state
-    and one concurrence value per stamp (times in units of 1/gamma0)."""
+    """A trajectory as arrays over strictly increasing proper-time stamps (in
+    1/gamma0): populations of shape (4, n) in the order (gg, ee, aa, ss),
+    coherences and concurrence. `states` views the stamps as XStates of
+    tolerance `tol`, built on first use."""
 
     times: np.ndarray
-    states: tuple
+    populations: np.ndarray
+    c_as: np.ndarray
+    c_ge: np.ndarray
     concurrence: np.ndarray
+    tol: float = field(default=HARD_TOL, compare=False, repr=False)
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "concurrence", np.asarray(self.concurrence, dtype=float))
-        object.__setattr__(self, "states", tuple(self.states))
-        if t.ndim != 1 or t.size == 0:
-            raise DomainError("times must be a nonempty 1-d sequence")
-        if np.any(np.diff(t) <= 0.0):
-            raise DomainError("times must be strictly increasing")
-        if len(self.states) != t.size or self.concurrence.size != t.size:
-            raise DomainError("one state and one concurrence value per stamp required")
+    @cached_property
+    def states(self) -> tuple:
+        return tuple(XState(*p, c_as=a, c_ge=g, tol=self.tol) for p, a, g in
+                     zip(self.populations.T.tolist(), self.c_as.tolist(), self.c_ge.tolist()))
+
+
+# |10> = (|S> + |A>)/sqrt(2): equal populations with full coherence
+_NAMED_STATES = {"ten": XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5, c_as=0.5),
+                 "bell_A": XState(p_gg=0.0, p_ee=0.0, p_aa=1.0, p_ss=0.0),
+                 "bell_S": XState(p_gg=0.0, p_ee=0.0, p_aa=0.0, p_ss=1.0)}
 
 
 def prepare_initial(label) -> XState:
     """Initial states: 'ten' (atom 1 excited, atom 2 ground), the Bell basis
-    states 'bell_A'/'bell_S', or a custom XState (validated on construction)."""
+    states 'bell_A'/'bell_S' (each built once), or a custom XState."""
     if isinstance(label, XState):
         return label
-    if label == "ten":
-        # |10> = (|S> + |A>)/sqrt(2): equal populations with full coherence
-        return XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5, c_as=0.5)
-    if label == "bell_A":
-        return XState(p_gg=0.0, p_ee=0.0, p_aa=1.0, p_ss=0.0)
-    if label == "bell_S":
-        return XState(p_gg=0.0, p_ee=0.0, p_aa=0.0, p_ss=1.0)
+    if isinstance(label, str) and label in _NAMED_STATES:
+        return _NAMED_STATES[label]
     raise DomainError(f"unknown initial state label {label!r}")
 
 
@@ -227,11 +251,9 @@ def x_concurrence(p_gg, p_ee, p_aa, p_ss, c_as, c_ge, tol):
 
 
 def _assemble(times, pops, c_as, c_ge, state_tol=HARD_TOL) -> EvolutionResult:
-    states = [XState(p_gg=pops[0, i], p_ee=pops[1, i], p_aa=pops[2, i], p_ss=pops[3, i],
-                     c_as=c_as[i], c_ge=c_ge[i], tol=state_tol) for i in range(times.size)]
-    held = np.where(pops < 0.0, 0.0, pops)  # the populations the states hold
+    held, c_as, c_ge = x_invariants(*pops, c_as, c_ge, state_tol)
     conc = x_concurrence(*held, c_as, c_ge, state_tol)[2]
-    return EvolutionResult(times=times, states=states, concurrence=conc)
+    return EvolutionResult(times, held, c_as, c_ge, conc, tol=state_tol)
 
 
 def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionResult:

@@ -2,14 +2,15 @@
 a/omega, omega*L, tau) plus presets that regenerate the survey figures as
 CSV/JSON data files.
 
-Every sweep computes the coefficients once per grid point and evaluates its
-quantity twice when both variants are requested: once with the full
-coefficient set and once with the coherent interatomic coupling d forced to
-zero (the "without interaction" curve).
+Every sweep computes the coefficients once per grid point (once for a tau
+sweep) and evaluates its quantity twice when both variants are requested:
+once with the full coefficient set and once with the coherent interatomic
+coupling d forced to zero (the "without interaction" curve).
 Rows are deterministic: ordered by grid point, with_D before without_D, and
 floats are serialized with 17 significant digits so emitted files are
-byte-stable and round-trippable. A result stores its rows as columns, and
-rate and coefficient sweeps fill them from plain floats.
+byte-stable and round-trippable. A result is its columns, filled from plain
+floats: by one loop over the grid for rate, coefficients and cmax, by one
+evolution per variant for tau, and by load_result from a checked file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -143,27 +144,17 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SweepResult:
     """The rows of a sweep, stored as columns: row i is
-    `tuple(col[i] for col in columns)`. Build one from its SweepRows,
-    `SweepResult(spec, rows)`, or from its columns,
-    `SweepResult(spec, columns=...)`; `rows` is a view of the columns as
-    SweepRows, built on first use."""
+    `tuple(col[i] for col in columns)`, in the order of `Columns`. `rows`
+    is a view of the columns as SweepRows, built on first use."""
 
     spec: SweepSpec
     columns: Columns
 
-    def __init__(self, spec: SweepSpec, rows=None, *, columns=None):
-        if (rows is None) == (columns is None):
-            raise TypeError("SweepResult takes either rows or columns")
-        object.__setattr__(self, "spec", spec)
-        if columns is None:
-            rows = tuple(rows)
-            self.__dict__["rows"] = rows
-            columns = zip(*(_record(r.axis_value, r.variant, r.value, r.coeffs, r.error)
-                            for r in rows)) if rows else ((),) * 9
-        object.__setattr__(self, "columns", Columns(*map(tuple, columns)))
+    def __post_init__(self):
+        object.__setattr__(self, "columns", Columns(*map(tuple, self.columns)))
 
     @cached_property
     def rows(self) -> tuple:
@@ -180,24 +171,17 @@ class SweepResult:
             spec = copy.copy(self.spec)
             object.__setattr__(spec, "variants", (variant,))
             keep = [v == variant for v in self.columns.variant]
-            parts.append(SweepResult(spec, columns=[compress(col, keep) for col in self.columns]))
+            parts.append(SweepResult(spec, [compress(col, keep) for col in self.columns]))
         return parts
 
 
-def _record(axis_value, variant, value, coeffs, error=None) -> tuple:
-    """A row in column order; `coeffs` is a CoefficientSet or None."""
-    c = (None,) * 5 if coeffs is None else (coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2, coeffs.d)
-    return (axis_value, variant, value, *c, error)
-
-
-def _coefficient_rows(spec: SweepSpec) -> list:
-    """The rows of a rate or coefficients sweep, computed from plain floats:
-    the coefficients once per grid point, then the rate per variant, with
-    d = 0 for without_D. SweepSpec has already checked every value
-    SystemParams would check. A failure of the coefficients marks every
-    variant's row; a failure of the rate marks its own."""
+def _point_rows(spec: SweepSpec) -> list:
+    """The rows of a rate, coefficients or cmax sweep from plain floats: the
+    coefficients once per grid point (SweepSpec has checked what SystemParams
+    would), then the quantity per variant, with d = 0 for without_D. A failure
+    of the coefficients marks every variant's row, one of the quantity its own."""
     dims = dict(spec.fixed)
-    rate = spec.quantity == "rate"
+    rate, cmax = spec.quantity == "rate", spec.quantity == "cmax"
     rows = []
     for g in spec.grid:
         dims[spec.axis] = g
@@ -205,70 +189,45 @@ def _coefficient_rows(spec: SweepSpec) -> list:
             a1, a2, b1, b2, d = _coefficients(1.0, dims["a_over_omega"],
                                               dims["z_omega"], dims["l_omega"])
         except NUMERICAL_ERRORS as exc:
-            rows.extend(_record(g, v, None, None, str(exc)) for v in spec.variants)
+            rows.extend((g, v, *(None,) * 6, str(exc)) for v in spec.variants)
             continue
         for variant in spec.variants:
             dv = d if variant == "with_D" else 0.0
             value = error = None
             try:
-                value = _generation_rate(a1, a2, b1, dv) if rate else None
+                if rate:
+                    value = _generation_rate(a1, a2, b1, dv)
+                elif cmax:
+                    value = max_concurrence(None, coeffs=CoefficientSet(a1, a2, b1, b2, dv))[1]
             except NUMERICAL_ERRORS as exc:
                 error = str(exc)
             rows.append((g, variant, value, a1, a2, b1, b2, dv, error))
     return rows
 
 
-def _params_at(spec: SweepSpec, axis_value: float) -> SystemParams:
-    dims = dict(spec.fixed)
-    if spec.axis != "tau":
-        dims[spec.axis] = axis_value
-    return SystemParams.from_dimensionless(**dims)
-
-
-def _evaluate_point(spec: SweepSpec, axis_value: float) -> list:
-    """The rows of one grid point of a cmax or tau sweep: the coefficients
-    once, then the quantity per variant. A failure of the coefficients marks
-    every variant's row."""
+def _curve(coeffs: CoefficientSet, grid) -> list:
+    """(concurrence, None) per tau stamp from one evolve_closed call, the
+    bytes of each stamp on its own. If the call raises, the stamps are
+    evaluated one by one, and a failing one gives (None, its marker)."""
     try:
-        params = _params_at(spec, axis_value)
-        full = compute_coefficients(params)
+        return [(c, None) for c in evolve_closed(prepare_initial("ten"), coeffs,
+                                                 grid).concurrence.tolist()]
     except NUMERICAL_ERRORS as exc:
-        return [_record(axis_value, v, None, None, str(exc)) for v in spec.variants]
-    rows = []
-    for variant in spec.variants:
-        coeffs = full.without_d() if variant == "without_D" else full
-        try:
-            if spec.quantity == "cmax":
-                value = max_concurrence(params, coeffs=coeffs)[1]
-            else:  # concurrence_t at tau = axis_value
-                value = float(evolve_closed(prepare_initial("ten"), coeffs,
-                                            [axis_value]).concurrence[0])
-            rows.append(_record(axis_value, variant, value, coeffs))
-        except NUMERICAL_ERRORS as exc:
-            rows.append(_record(axis_value, variant, None, coeffs, str(exc)))
-    return rows
+        return [(None, str(exc))] if len(grid) == 1 else [_curve(coeffs, [g])[0] for g in grid]
 
 
 def _tau_rows(spec: SweepSpec) -> list:
-    """Rows of a tau sweep from one evolve_closed call per variant over the
-    whole grid, byte-identical to evaluating each stamp on its own. If that
-    raises, the grid is evaluated stamp by stamp so that only the failing
-    stamps carry an error marker."""
+    """Rows of a tau sweep: the coefficients once, then one curve per
+    variant; a failure of the coefficients marks every row."""
+    dims = spec.fixed
     try:
-        coeffs = compute_coefficients(_params_at(spec, spec.grid[0]))
-        curves = []
-        for variant in spec.variants:
-            c = coeffs.without_d() if variant == "without_D" else coeffs
-            curves.append((variant, astuple(c), evolve_closed(prepare_initial("ten"), c,
-                                                              spec.grid).concurrence.tolist()))
-    except NUMERICAL_ERRORS:
-        return _pointwise(spec)
-    return [(g, variant, conc[i], *c, None)
-            for i, g in enumerate(spec.grid) for variant, c, conc in curves]
-
-
-def _pointwise(spec: SweepSpec) -> list:
-    return [row for g in spec.grid for row in _evaluate_point(spec, g)]
+        full = _coefficients(1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
+    except NUMERICAL_ERRORS as exc:
+        return [(g, v, *(None,) * 6, str(exc)) for g in spec.grid for v in spec.variants]
+    coeffs = {v: (*full[:4], full[4] if v == "with_D" else 0.0) for v in spec.variants}
+    curves = [(v, c, _curve(CoefficientSet(*c), spec.grid)) for v, c in coeffs.items()]
+    return [(g, variant, cells[i][0], *c, cells[i][1])
+            for i, g in enumerate(spec.grid) for variant, c, cells in curves]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -277,11 +236,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
-    if spec.quantity in ("rate", "coefficients"):
-        rows = _coefficient_rows(spec)
-    else:
-        rows = _tau_rows(spec) if spec.axis == "tau" else _pointwise(spec)
-    return SweepResult(spec, columns=zip(*rows))
+    rows = _tau_rows(spec) if spec.axis == "tau" else _point_rows(spec)
+    return SweepResult(spec, zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +337,7 @@ def render_csv(result: SweepResult) -> str:
     return "\n".join([",".join(CSV_COLUMNS), *_lines(result, _CSV_ROW, _csv_line)]) + "\n"
 
 
-def _jstr(s) -> str:
-    return json.dumps(s)
+_jstr = json.dumps  # a string as JSON
 
 
 def _jnum(x) -> str:
@@ -426,12 +381,9 @@ def render_json(result: SweepResult) -> str:
 def emit(result: SweepResult, format: str, path=None) -> Path | None:
     """Write the result as CSV or JSON to `path`, or to stdout when `path` is
     None; returns the path written."""
-    if format == "csv":
-        text = render_csv(result)
-    elif format == "json":
-        text = render_json(result)
-    else:
+    if format not in ("csv", "json"):
         raise DomainError(f"format must be 'csv' or 'json', got {format!r}")
+    text = render_csv(result) if format == "csv" else render_json(result)
     if path is None:
         sys.stdout.write(text)
         return None
@@ -442,12 +394,35 @@ def emit(result: SweepResult, format: str, path=None) -> Path | None:
 
 def load_result(path) -> SweepResult:
     """Parse a JSON file produced by emit back into a SweepResult. Every number
-    is read as a float: emit writes -0.0 as "-0", which json would read as 0."""
-    doc = json.loads(Path(path).read_text(), parse_int=float)
-    spec = SweepSpec.from_dict(doc["metadata"]["spec"])
-    rows = []
-    for r in doc["rows"]:
-        axis_value, variant, value, a1, a2, b1, b2, d, error = (r[c] for c in CSV_COLUMNS)
-        coeffs = None if a1 is None else CoefficientSet(a1, a2, b1, b2, d)
-        rows.append(SweepRow(axis_value, variant, value, coeffs, error))
-    return SweepResult(spec=spec, rows=rows)
+    is read as a float: emit writes -0.0 as "-0", which json would read as 0.
+    DomainError on what emit cannot write: rows out of the spec's grid x
+    variants order or without the keys of CSV_COLUMNS, a number that is not
+    finite, coefficients partly null, an error marker that is not a string."""
+    try:
+        doc = json.loads(Path(path).read_text(), parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"result file is not JSON: {exc}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("metadata"), dict)
+            and "spec" in doc["metadata"] and isinstance(doc.get("rows"), list)):
+        raise DomainError("a result file holds metadata.spec and a list of rows")
+    spec, rows = SweepSpec.from_dict(doc["metadata"]["spec"]), doc["rows"]
+    order = [(g, v) for g in spec.grid for v in spec.variants]
+    if len(rows) != len(order):
+        raise DomainError(f"{len(rows)} rows, the spec gives {len(order)}")
+    cells = []
+    for i, (row, (g, variant)) in enumerate(zip(rows, order)):
+        if not isinstance(row, dict) or sorted(row) != sorted(CSV_COLUMNS):
+            raise DomainError(f"row {i} must hold exactly the keys {', '.join(CSV_COLUMNS)}")
+        x, v, *numbers, error = cell = tuple(row[col] for col in CSV_COLUMNS)
+        if not isinstance(x, float) or x != g or v != variant:
+            raise DomainError(f"row {i} is ({x!r}, {v!r}) where the spec's grid x "
+                              f"variants order puts ({g!r}, {variant!r})")
+        for col, n in zip(CSV_COLUMNS[2:8], numbers):
+            if n is not None and not (isinstance(n, float) and math.isfinite(n)):
+                raise DomainError(f"row {i}: {col} must be a finite number or null, got {n!r}")
+        if None in numbers[1:] and numbers[1:].count(None) != 5:
+            raise DomainError(f"row {i}: a1, a2, b1, b2, d must be all null or all numbers")
+        if not (error is None or isinstance(error, str)):
+            raise DomainError(f"row {i}: error_marker must be a string or null, got {error!r}")
+        cells.append(cell)
+    return SweepResult(spec, zip(*cells))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import mirroratoms
+import mirroratoms.cli as cli
 from mirroratoms import SystemParams, compute_coefficients, load_result
 from mirroratoms.cli import build_parser, main
 from mirroratoms.evolution import MAX_GRID_POINTS
@@ -217,6 +218,24 @@ def test_evolve_points_beyond_the_grid_budget_exit_2(capsys):
     argv = ["evolve", *ANCHOR, "--points", str(MAX_GRID_POINTS + 1)]
     assert main(argv) == 2
     assert "error: --points must lie in" in capsys.readouterr().err
+
+
+def test_figure_points_beyond_the_grid_budget_exit_2(tmp_path, capsys, monkeypatch):
+    presets = []
+
+    def recorded(figure, points):
+        presets.append(points)
+        return []  # no sweep runs, whatever the count
+
+    monkeypatch.setattr(cli, "preset", recorded)
+    argv = ["figure", "3", "--out", str(tmp_path)]
+    assert main([*argv, "--points", str(MAX_GRID_POINTS + 1)]) == 2
+    assert f"error: --points must lie in [1, {MAX_GRID_POINTS}], got {MAX_GRID_POINTS + 1}" \
+        in capsys.readouterr().err
+    assert main([*argv, "--points", "100000000"]) == 2
+    assert presets == [] and not list(tmp_path.iterdir())
+    assert main([*argv, "--points", str(MAX_GRID_POINTS)]) == 0
+    assert presets == [MAX_GRID_POINTS]
 
 
 def test_evolve_default_grid_beyond_its_budget_exits_3(capsys):

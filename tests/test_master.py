@@ -2,6 +2,7 @@
 stationary state."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mirroratoms import (CoefficientSet, ConvergenceError, DegenerateKernelError
                          compute_coefficients, default_time_grid, evolve_closed,
                          evolve_numeric, population_generator, prepare_initial,
                          rhs, slowest_relaxation_rate, steady_state)
+from mirroratoms.concurrence import concurrence_x
 
 from conftest import random_params, random_x_state
 import reference as ref
@@ -76,6 +78,147 @@ def test_xstate_clamps_roundoff_negatives():
     s = XState(p_gg=1.0 + 1e-13, p_ee=-1e-13, p_aa=0.0, p_ss=0.0)
     assert s.p_ee == 0.0
     assert s.p_gg > 1.0
+
+
+# --- the X-state checks over arrays of stamps ---------------------------------
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("entries, message", [
+    ((1.001, -0.001, 0.0, 0.0), "population p_ee = -0.001 below -1e-09"),
+    ((-0.5, _NAN, 0.0, 1.5), "population p_gg = -0.5 below -1e-09"),
+    ((1.0, _NAN, 0.0, 0.0), "population p_ee is not finite"),
+    ((1.0, 0.0, -_INF, 0.0), "population p_aa is not finite"),
+    ((1.0, 0.0, 0.0, _INF), "population p_ss is not finite"),
+    ((0.5, 0.5, 0.1, 0.0), "trace deviates from 1 by 1.000e-01"),
+    ((0.0, 0.0, 0.5, 0.5, complex(0.0, _INF)), "coherence c_as is not finite"),
+    ((0.0, 0.0, 0.5, 0.5, 0.0, _NAN), "coherence c_ge is not finite"),
+    ((0.5, 0.5, 0.1, 0.0, _NAN), "coherence c_as is not finite"),  # before the trace
+    ((0.5, 0.5, 0.0, 0.0, 0.3), "coherence c_as violates |c|^2 <= p_aa*p_ss"),
+    ((0.5, 0.5, 0.0, 0.0, 0.0, 0.6), "coherence c_ge violates |c|^2 <= p_gg*p_ee"),
+])
+def test_xstate_failure_messages(entries, message):
+    with pytest.raises(InvariantError) as exc:
+        XState(*entries)
+    assert str(exc.value) == message
+
+
+def test_array_check_reports_the_first_failing_stamp():
+    # stamp 1 fails its trace, stamp 2 a population: stamp 1 is reported
+    pops = np.array([[1.0, 0.5, 1.0], [0.0, 0.6, _NAN], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(InvariantError, match=r"^trace deviates from 1 by 1\.000e-01$"):
+        evolution.x_invariants(*pops, np.zeros(3), np.zeros(3), evolution.HARD_TOL)
+    held, c_as, c_ge = evolution.x_invariants(*pops[:, :1], [0.0], [0.0], evolution.HARD_TOL)
+    assert held.shape == (4, 1) and c_as.dtype == c_ge.dtype == complex
+
+
+_SPECIAL = st.sampled_from([_NAN, _INF, -_INF])
+
+
+@st.composite
+def x_stamps(draw, tol):
+    """The entries of one X state: a valid state, or one with some entries
+    moved to negatives within and beyond tol, to NaN or +-inf, off the unit
+    trace, or with coherences within or over their positivity bound."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    total = sum(weights)
+    pops = [w / total for w in weights] if total > 0.0 else [1.0, 0.0, 0.0, 0.0]
+    for k in range(4):
+        kind = draw(st.sampled_from(["keep"] * 12 + ["negative"] * 3 + ["shift", "special"]))
+        if kind == "negative":  # moving its weight on, so that only the clamp moves the trace
+            pops[(k + 1) % 4] += pops[k]
+            pops[k] = -tol * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3]))
+        elif kind == "shift":
+            pops[k] += tol * draw(st.sampled_from([-3.0, -1.5, -0.5, 0.5, 1.5, 3.0, 1e6]))
+        elif kind == "special":
+            pops[k] = draw(_SPECIAL)
+    coherences = []
+    for i, j in ((2, 3), (0, 1)):
+        kind = draw(st.sampled_from(["within"] * 6 + ["over"] * 2 + ["special"]))
+        if kind == "special":
+            coherences.append(complex(draw(_SPECIAL), draw(st.sampled_from([0.0, _NAN]))))
+            continue
+        bound = math.sqrt(abs(pops[i] * pops[j])) if math.isfinite(pops[i] * pops[j]) else 1.0
+        amp = bound * draw(st.floats(0.0, 1.0))
+        if kind == "over":
+            amp = bound + tol * draw(st.sampled_from([0.5, 3.0, 1e6]))
+        phase = draw(st.floats(0.0, 2.0 * math.pi))
+        coherences.append(complex(amp * math.cos(phase), amp * math.sin(phase)))
+    return (*pops, *coherences)
+
+
+def _outcome(check):
+    """(True, value) of a check that passes, (False, message) of one that raises."""
+    try:
+        return True, check()
+    except InvariantError as exc:
+        return False, str(exc)
+
+
+def _scalar_reference(p_gg, p_ee, p_aa, p_ss, c_as, c_ge, tol):
+    """The XState checks one state at a time in plain Python, in their
+    documented order: the clamped populations and the coherences, or the
+    message of the first failing check."""
+    pops = {"p_gg": p_gg, "p_ee": p_ee, "p_aa": p_aa, "p_ss": p_ss}
+    for name, p in pops.items():
+        if not math.isfinite(p):
+            return False, f"population {name} is not finite"
+        if p < -tol:
+            return False, f"population {name} = {p} below -{tol:g}"
+        pops[name] = 0.0 if p < 0.0 else p
+    for name, c in (("c_as", c_as), ("c_ge", c_ge)):
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            return False, f"coherence {name} is not finite"
+    g, e, a, s = pops.values()
+    if abs(g + e + a + s - 1.0) > tol:
+        return False, f"trace deviates from 1 by {g + e + a + s - 1.0:.3e}"
+    if abs(c_as) * abs(c_as) > a * s + tol:
+        return False, "coherence c_as violates |c|^2 <= p_aa*p_ss"
+    if abs(c_ge) * abs(c_ge) > g * e + tol:
+        return False, "coherence c_ge violates |c|^2 <= p_gg*p_ee"
+    return True, (g, e, a, s, complex(c_as), complex(c_ge))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_array_check_accepts_exactly_when_every_state_does(data):
+    tol = data.draw(st.sampled_from([evolution.HARD_TOL, 1e-6]))
+    stamps = data.draw(st.lists(x_stamps(tol), min_size=1, max_size=6))
+    states = [_outcome(lambda s=s: XState(*s, tol=tol)) for s in stamps]
+    whole = _outcome(lambda: evolution.x_invariants(*map(np.array, zip(*stamps)), tol))
+    reference = [_scalar_reference(*s, tol) for s in stamps]
+    assert [ok for ok, _ in states] == [ok for ok, _ in reference]
+    assert [m for ok, m in states if not ok] == [m for ok, m in reference if not ok]
+    assert [astuple(st)[:6] for ok, st in states if ok] == [r for ok, r in reference if ok]
+    failures = [message for ok, message in states if not ok]
+    if failures:
+        assert whole == (False, failures[0])
+        return
+    assert whole[0]
+    held, c_as, c_ge = whole[1]
+    for i, (_, state) in enumerate(states):
+        assert held[:, i].tolist() == [state.p_gg, state.p_ee, state.p_aa, state.p_ss]
+        assert (c_as[i], c_ge[i]) == (state.c_as, state.c_ge)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), with_d=st.booleans(),
+       times=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=30, unique=True))
+def test_states_view_matches_per_stamp_states(seed, with_d, times):
+    rng = np.random.default_rng(seed)
+    c = compute_coefficients(random_params(rng))
+    c = c if with_d else c.without_d()
+    initial = random_x_state(rng)
+    res = evolve_closed(initial, c, sorted(times))
+    states = tuple(XState(p_gg=res.populations[0, i], p_ee=res.populations[1, i],
+                          p_aa=res.populations[2, i], p_ss=res.populations[3, i],
+                          c_as=res.c_as[i], c_ge=res.c_ge[i]) for i in range(len(times)))
+    assert res.states == states
+    assert res.states == tuple(evolve_closed(initial, c, [t]).states[0] for t in sorted(times))
+    assert [concurrence_x(s).value for s in res.states] == res.concurrence.tolist()
+    assert evolve_closed(initial, c, sorted(times)).states is not res.states
+    assert res.states is res.states  # built once
 
 
 # --- rhs -------------------------------------------------------------------

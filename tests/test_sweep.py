@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ import mirroratoms.concurrence as concurrence_mod
 import mirroratoms.sweep as sweep_mod
 from mirroratoms import (CoefficientSet, DomainError, InvariantError, SweepResult,
                          SweepRow, SweepSpec, SystemParams, compute_coefficients,
-                         emit, generation_rate, load_result, preset, run_sweep)
+                         emit, generation_rate, load_result, prepare_initial,
+                         preset, run_sweep)
 from mirroratoms.correlations import INERTIAL_SWITCH
 from mirroratoms.sweep import (CSV_COLUMNS, VARIANTS, _fnum, _jnum, _jstr, render_csv,
                                render_json)
@@ -22,6 +23,14 @@ def rate_spec(grid=(0.2, 0.4, 1.0), variants=("with_D", "without_D")):
     return SweepSpec(axis="z_omega", grid=grid,
                      fixed={"a_over_omega": 1.0, "l_omega": 0.3},
                      quantity="rate", variants=variants)
+
+
+def from_rows(spec, rows):
+    """The SweepResult whose `rows` view is `rows`, a sequence of SweepRows."""
+    cells = [(r.axis_value, r.variant, r.value,
+              *((None,) * 5 if r.coeffs is None else astuple(r.coeffs)), r.error)
+             for r in rows]
+    return SweepResult(spec, list(zip(*cells)) or [()] * 9)
 
 
 # --- spec validation -------------------------------------------------------
@@ -247,20 +256,25 @@ def test_row_errors_are_local(monkeypatch):
 
 
 def _per_point_rows(spec):
-    """A rate or coefficients sweep row by row from the objects its columns
-    stand in for: SystemParams, compute_coefficients and generation_rate."""
+    """A rate, coefficients or cmax sweep row by row from the objects its
+    columns stand in for: SystemParams, compute_coefficients, then
+    generation_rate or max_concurrence."""
     rows = []
     for g in spec.grid:
         try:
-            full = compute_coefficients(SystemParams.from_dimensionless(
-                **{**spec.fixed, spec.axis: g}))
+            params = SystemParams.from_dimensionless(**{**spec.fixed, spec.axis: g})
+            full = compute_coefficients(params)
         except DomainError as exc:
             rows.extend(SweepRow(g, v, None, None, str(exc)) for v in spec.variants)
             continue
         for variant in spec.variants:
             coeffs = full if variant == "with_D" else full.without_d()
+            value = None
             try:
-                value = generation_rate(coeffs).rate if spec.quantity == "rate" else None
+                if spec.quantity == "rate":
+                    value = generation_rate(coeffs).rate
+                elif spec.quantity == "cmax":
+                    value = concurrence_mod.max_concurrence(params, coeffs=coeffs)[1]
             except DomainError as exc:
                 rows.append(SweepRow(g, variant, None, coeffs, str(exc)))
             else:
@@ -303,7 +317,7 @@ def test_columns_match_per_point_rows(monkeypatch, tmp_path, axis, grid, fixed,
     assert result.rows == expected
     assert any(r.error is not None for r in expected) == \
         (failing_point or failing_rate and quantity == "rate")
-    by_rows = SweepResult(spec=spec, rows=expected)
+    by_rows = from_rows(spec, expected)
     assert result == by_rows
     assert render_csv(result) == render_csv(by_rows) == _csv_by_cell(by_rows)
     assert render_json(result) == render_json(by_rows) == _json_by_cell(by_rows)
@@ -311,7 +325,7 @@ def test_columns_match_per_point_rows(monkeypatch, tmp_path, axis, grid, fixed,
     assert render_json(load_result(path)) == path.read_text()
     for part, variant in zip(result.split_variants(), spec.variants):
         alone = replace(spec, variants=(variant,))
-        assert part == SweepResult(alone, [r for r in expected if r.variant == variant])
+        assert part == from_rows(alone, [r for r in expected if r.variant == variant])
         assert render_json(part) == render_json(run_sweep(alone))
 
 
@@ -321,13 +335,36 @@ def test_split_variants_does_not_validate_the_grid_again(monkeypatch):
     assert [p.spec.variants for p in result.split_variants()] == [("with_D",), ("without_D",)]
 
 
-def test_result_takes_rows_or_columns():
+def test_cmax_sweep_matches_per_point_rows(monkeypatch):
+    # omega*z = 1e155 fails the coefficients; a forced failure of the
+    # without_D search at omega*z = 1 marks that row alone
+    real = sweep_mod.max_concurrence
+
+    def flaky(params, *args, coeffs=None, **kwargs):
+        if coeffs.d == 0.0 and coeffs.a1 == bad.a1:
+            raise DomainError("forced search failure")
+        return real(params, *args, coeffs=coeffs, **kwargs)
+
+    spec = SweepSpec(axis="z_omega", grid=(0.4, 1.0, 1e155),
+                     fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity="cmax")
+    bad = compute_coefficients(SystemParams.from_dimensionless(1.0, 1.0, 0.3))
+    monkeypatch.setattr(sweep_mod, "max_concurrence", flaky)
+    monkeypatch.setattr(concurrence_mod, "max_concurrence", flaky)
+    result, expected = run_sweep(spec), _per_point_rows(spec)
+    assert result.rows == expected
+    assert [(r.axis_value, r.variant) for r in expected if r.error is not None] == \
+        [(1.0, "without_D"), (1e155, "with_D"), (1e155, "without_D")]
+    assert render_json(result) == render_json(from_rows(spec, expected))
+
+
+def test_result_takes_only_columns():
     spec = rate_spec()
     result = run_sweep(spec)
-    assert SweepResult(spec, columns=result.columns) == result
-    for bad in ({}, {"rows": result.rows, "columns": result.columns}):
-        with pytest.raises(TypeError):
-            SweepResult(spec, **bad)
+    assert SweepResult(spec, result.columns) == result
+    assert SweepResult(spec, columns=map(list, result.columns)) == result
+    assert from_rows(spec, result.rows) == result
+    with pytest.raises(TypeError):
+        SweepResult(spec, rows=result.rows)
 
 
 def test_tau_axis_sweep_evaluates_concurrence():
@@ -340,9 +377,22 @@ def test_tau_axis_sweep_evaluates_concurrence():
 
 
 def _per_stamp(spec):
-    """The reference path: every tau stamp and variant evaluated on its own."""
-    return SweepResult(spec, columns=zip(*[row for g in spec.grid
-                                           for row in sweep_mod._evaluate_point(spec, g)]))
+    """The reference path: every tau stamp and variant evaluated on its own,
+    each from its own SystemParams and CoefficientSet; a failing stamp
+    carries its error marker."""
+    rows = []
+    for g in spec.grid:
+        full = compute_coefficients(SystemParams.from_dimensionless(**spec.fixed))
+        for variant in spec.variants:
+            coeffs = full if variant == "with_D" else full.without_d()
+            try:
+                value = float(sweep_mod.evolve_closed(prepare_initial("ten"), coeffs,
+                                                      [g]).concurrence[0])
+            except InvariantError as exc:
+                rows.append(SweepRow(g, variant, None, coeffs, str(exc)))
+            else:
+                rows.append(SweepRow(g, variant, value, coeffs))
+    return from_rows(spec, rows)
 
 
 def test_tau_sweep_bytes_match_per_stamp_evaluation():
@@ -388,6 +438,25 @@ def test_tau_sweep_failure_falls_back_to_per_stamp_markers(monkeypatch):
     healthy = run_sweep(spec).rows
     assert [r for r in result.rows if r.error is None] == \
         [r for r in healthy if (r.axis_value, r.variant) != (bad, "without_D")]
+
+
+def test_tau_sweep_re_evaluates_only_the_failing_variant(monkeypatch):
+    spec = preset(5)[0]
+    calls = []
+    real = sweep_mod.evolve_closed
+
+    def without_d_refused(initial, coeffs, times):
+        calls.append((coeffs.d == 0.0, len(times)))
+        if coeffs.d == 0.0 and len(times) > 1:
+            raise InvariantError("whole grid refused")
+        return real(initial, coeffs, times)
+
+    monkeypatch.setattr(sweep_mod, "evolve_closed", without_d_refused)
+    result = run_sweep(spec)
+    n = len(spec.grid)
+    assert calls == [(False, n), (True, n)] + [(True, 1)] * n
+    assert all(error is None for error in result.columns.error)
+    assert render_csv(result) == render_csv(_per_stamp(spec))
 
 
 # --- presets -----------------------------------------------------------------
@@ -440,7 +509,7 @@ def test_preset_counts():
 # --- serialization --------------------------------------------------------------
 
 def test_csv_header_only_for_empty_result():
-    result = SweepResult(spec=rate_spec(), rows=())
+    result = SweepResult(rate_spec(), [()] * 9)
     assert render_csv(result) == ("axis_value,variant,quantity,"
                                   "a1,a2,b1,b2,d,error_marker\n")
 
@@ -467,7 +536,7 @@ def test_json_round_trip_is_byte_identical(tmp_path):
 
 def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(DomainError):
-        emit(SweepResult(spec=rate_spec(), rows=()), "yaml", tmp_path / "x")
+        emit(SweepResult(rate_spec(), [()] * 9), "yaml", tmp_path / "x")
 
 
 def test_json_carries_metadata(tmp_path):
@@ -544,7 +613,18 @@ def sweep_results(draw):
     rows = draw(st.lists(st.builds(
         SweepRow, _FINITE, st.sampled_from(["with_D", "without_D", 'odd,"variant"']),
         st.none() | _FINITE, st.none() | _COEFFS, st.none() | _ERROR), max_size=8))
-    return SweepResult(spec=spec, rows=rows)
+    return from_rows(spec, rows)
+
+
+@st.composite
+def emitted_results(draw):
+    """Results shaped as run_sweep shapes them: one row per grid point and
+    variant of the spec, in its order, with any cells."""
+    spec = draw(sweep_results()).spec
+    spec = replace(spec, variants=draw(st.sampled_from([VARIANTS, ("with_D",), ("without_D",)])))
+    return from_rows(spec, [SweepRow(g, v, draw(st.none() | _FINITE),
+                                     draw(st.none() | _COEFFS), draw(st.none() | _ERROR))
+                            for g in spec.grid for v in spec.variants])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -555,7 +635,7 @@ def test_row_templates_match_cell_by_cell_rendering(result):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(result=sweep_results())
+@given(result=emitted_results())
 def test_emit_load_emit_is_byte_identical(tmp_path_factory, result):
     folder = tmp_path_factory.mktemp("round_trip")
     first = emit(result, "json", folder / "a.json")
@@ -565,7 +645,103 @@ def test_emit_load_emit_is_byte_identical(tmp_path_factory, result):
 
 def test_negative_zero_survives_load_result(tmp_path):
     c = CoefficientSet(-0.0, 0.0, 1.0, -0.0, 0.0)
-    result = SweepResult(spec=rate_spec(), rows=[SweepRow(0.4, "with_D", -0.0, c)])
+    result = from_rows(rate_spec(grid=(0.4,), variants=("with_D",)),
+                       [SweepRow(0.4, "with_D", -0.0, c)])
     loaded = load_result(emit(result, "json", tmp_path / "z.json")).rows[0]
     assert [math.copysign(1.0, x) for x in (loaded.value, loaded.coeffs.a1,
                                             loaded.coeffs.b2)] == [-1.0] * 3
+
+
+# --- load_result rejects what emit could not have written ----------------------
+
+@pytest.fixture
+def emitted_doc(tmp_path):
+    """A four-row rate file as emit writes it, parsed, and a writer for a
+    changed copy of it."""
+    path = emit(run_sweep(rate_spec(grid=(0.4, 1.0))), "json", tmp_path / "ok.json")
+
+    def write(doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return bad
+
+    return json.loads(path.read_text()), write
+
+
+def _set_cell(column, value, row=0):
+    def change(doc):
+        doc["rows"][row][column] = value
+    return change
+
+
+def _drop_cell(doc):
+    del doc["rows"][2]["d"]
+
+
+def _add_cell(doc):
+    doc["rows"][0]["extra"] = None
+
+
+def _keep_one_row(doc):
+    doc["rows"] = doc["rows"][:1]
+
+
+def _rows_as_object(doc):
+    doc["rows"] = {}
+
+
+def _swap_variants(doc):
+    doc["rows"][0], doc["rows"][1] = doc["rows"][1], doc["rows"][0]
+
+
+def _partial_coefficients(doc):
+    doc["rows"][1]["a1"] = None
+
+
+def _no_metadata(doc):
+    del doc["metadata"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (_set_cell("quantity", "abc"), "quantity must be a finite number or null, got 'abc'"),
+    (_set_cell("quantity", math.nan), "quantity must be a finite number or null, got nan"),
+    (_set_cell("a1", math.nan), "a1 must be a finite number or null, got nan"),
+    (_set_cell("d", -math.inf, row=3), "row 3: d must be a finite number or null, got -inf"),
+    (_set_cell("b2", True), "b2 must be a finite number or null, got True"),
+    (_set_cell("variant", "with_d"), "row 0 is .* where the spec's grid x variants order"),
+    (_set_cell("axis_value", 0.5), r"row 0 is \(0.5, 'with_D'\) where .* \(0.4, 'with_D'\)"),
+    (_set_cell("axis_value", True, row=2), r"row 2 is \(True, 'with_D'\)"),
+    (_set_cell("error_marker", 3), "error_marker must be a string or null, got 3.0"),
+    (_keep_one_row, "1 rows, the spec gives 4"),
+    (_rows_as_object, "a list of rows"),
+    (_no_metadata, "metadata.spec"),
+    (_drop_cell, "row 2 must hold exactly the keys axis_value, variant, quantity"),
+    (_add_cell, "row 0 must hold exactly the keys"),
+    (_swap_variants, r"row 0 is \(0.4, 'without_D'\)"),
+    (_partial_coefficients, "row 1: a1, a2, b1, b2, d must be all null or all numbers"),
+], ids=["quantity-abc", "value-nan", "a1-nan", "d-inf", "b2-bool", "unknown-variant",
+        "axis-value-off-grid", "axis-value-bool", "error-marker-number", "one-row",
+        "rows-object", "no-metadata", "missing-cell", "extra-cell", "variant-order",
+        "partial-coefficients"])
+def test_load_result_rejects_malformed_files(emitted_doc, change, message):
+    doc, write = emitted_doc
+    change(doc)
+    with pytest.raises(DomainError, match=message):
+        load_result(write(doc))
+
+
+def test_load_result_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"metadata": ')
+    with pytest.raises(DomainError, match="not JSON"):
+        load_result(path)
+
+
+def test_load_result_keeps_error_rows(tmp_path):
+    spec = SweepSpec(axis="z_omega", grid=(0.4, 1e155),
+                     fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity="rate")
+    result = run_sweep(spec)
+    assert result.columns.error[2:] == ("d must be > 0, got inf",) * 2
+    path = emit(result, "json", tmp_path / "errors.json")
+    assert load_result(path) == result
+    assert render_json(load_result(path)) == path.read_text()
