@@ -392,6 +392,17 @@ _FIGURE_DIGESTS = {
         "4dbb6d1ecdf5a640dabdfc72599e9062afe8d6b4db2016950bd04f1aebb79b6f",
     ("3", "--points", "40", "--format", "csv"):
         "117076f59db5ac213b6ad80498fd7e33f1bd15fc86def4726798e0f93612e33b",
+    # the cmax figures at a density with many-bracket rows (266 in one row of
+    # figure 10), a search grid of 25 178 samples and panels whose grids sum
+    # to over 150 000 samples
+    ("7", "--points", "17", "--format", "json"):
+        "22ff0a871941d33ebb32fe1971dcb3de9e5ada78cc3bfc9c28bf23a54cf2770a",
+    ("8", "--points", "17", "--format", "json"):
+        "94c1fe9cdb0f6d0d59e4d80d16342001ca3cc01d9e7b1ac2adddd2d643bc1081",
+    ("9", "--points", "17", "--format", "json"):
+        "0c0002fb149d0597b21c0131cf1f12c98a8e37593a357ee534e17b0f4de18da7",
+    ("10", "--points", "17", "--format", "json"):
+        "3a892314e418944bf54e014f35b98819761a07f61caa8497e0764d55e4f44ef5",
 }
 
 
@@ -408,7 +419,8 @@ def test_figure_bytes_are_pinned(tmp_path, capsys, figure):
     """The emitted bytes of figures 2-10 against digests recorded before the
     row templates and the kernel pair replaced per-cell formatting and per-
     kernel calls; those of figures 2-4 at 1500 points and of figure 3 in
-    CSV were recorded before sweeps stored columns. The digests belong to
+    CSV were recorded before sweeps stored columns, those of figures 7-10 at
+    17 points before cmax rows were searched in batches. The digests belong to
     the libm they were recorded with (glibc 2.36, x86_64, numpy 2.4.6):
     another libm may round sin, cos, asinh or exp differently in the last
     bit. A change that alters rows on
