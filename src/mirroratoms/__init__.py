@@ -14,7 +14,7 @@ from .evolution import (EvolutionResult, StateDerivative, XState,
                         rhs, slowest_relaxation_rate, steady_state)
 from .concurrence import (ConcurrenceReport, GenerationReport, concurrence_general,
                           concurrence_x, generation_rate, k1_closed,
-                          max_concurrence, to_product_matrix)
+                          max_concurrence, max_concurrences, to_product_matrix)
 from .sweep import (SweepResult, SweepRow, SweepSpec, emit, load_result,
                     preset, run_sweep)
 
@@ -26,7 +26,7 @@ __all__ = [
     "compute_coefficients", "concurrence_general", "concurrence_x", "coth",
     "default_horizon", "default_time_grid", "emit", "evolve_closed",
     "evolve_numeric", "generation_rate", "k1_closed", "kernel_f", "kernel_h",
-    "load_result", "max_concurrence", "population_generator",
+    "load_result", "max_concurrence", "max_concurrences", "population_generator",
     "prepare_initial", "preset", "rhs", "run_sweep",
     "slowest_relaxation_rate", "spectral_density", "steady_state",
     "to_product_matrix",

@@ -11,19 +11,22 @@ from __future__ import annotations
 import math
 import warnings
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
-from .errors import ConvergenceError, DomainError
-from .evolution import (SAMPLES_PER_SCALE, XState, _PopulationPropagator,
-                        _time_scale, default_horizon, prepare_initial,
-                        x_concurrence)
+from .errors import NUMERICAL_ERRORS, ConvergenceError, DomainError
+from .evolution import (SAMPLES_PER_SCALE, XState, _time_scale, default_horizons,
+                        prepare_initial, propagators, x_concurrence)
 
 # uniform samples allowed over the coherence window, beyond which the
 # search raises ConvergenceError rather than truncate its grid
 _DENSE_BUDGET = 5_000_000
 _TAIL_SAMPLES = 2000
+# search-grid samples that max_concurrences scans in one chunk, about those of
+# the largest row of the figure presets, so a chunk's arrays stay that size
+_CHUNK_SAMPLES = 2 ** 15
 _SECTIONS = 64
 _MAX_ROUNDS = 32  # the sectioning reaches its width floor within 12 rounds
 TOL_RANGE = (1e-10, 1e-4)  # refinement tolerances max_concurrence accepts
@@ -143,46 +146,91 @@ def k1_closed(tau: float, populations, coeffs: CoefficientSet) -> float:
     return math.sqrt((p_aa - p_ss) ** 2 + osc) - 2.0 * math.sqrt(max(p_gg * p_ee, 0.0))
 
 
-def _concurrence_on_grid(prop: _PopulationPropagator, initial: XState,
-                         coeffs: CoefficientSet, taus: np.ndarray) -> np.ndarray:
-    """Concurrence along a closed-form trajectory; InvariantError on a positivity breach."""
-    pops = prop.propagate(initial.populations, taus)
-    c_as = initial.c_as * np.exp(-4.0 * (coeffs.a1 + 1j * coeffs.d) * taus)
-    c_ge = np.abs(initial.c_ge) * np.exp(-4.0 * coeffs.a1 * taus)
-    return x_concurrence(*pops, c_as, c_ge, initial.tol)[2]
+class _Trajectories:
+    """The closed-form trajectories of coefficient sets from one initial state."""
+
+    def __init__(self, coeff_sets, initial: XState):
+        self.props = propagators(coeff_sets)
+        self.initial = initial
+        self.coherent = np.array([-4.0 * (c.a1 + 1j * c.d) for c in coeff_sets])
+        self.damped = np.array([-4.0 * c.a1 for c in coeff_sets])
+
+    def concurrence(self, taus: np.ndarray, counts) -> np.ndarray:
+        """Concurrence at `taus`: the first counts[0] stamps on the trajectory
+        of the first set, the next counts[1] on that of the second, and so on.
+        InvariantError on a positivity breach.
+
+        A set's populations come from its own 4x4 @ 4xN product on its own
+        stamps, which BLAS may round differently with N; the rest is
+        elementwise, so a stamp's bits do not depend on the other sets'."""
+        initial, ends = self.initial, np.cumsum(counts).tolist()
+        pops = np.empty((4, taus.size))
+        for prop, lo, hi in zip(self.props, [0, *ends], ends):
+            if hi > lo:
+                pops[:, lo:hi] = prop.propagate(initial.populations, taus[lo:hi])
+        c_as = initial.c_as * np.exp(np.repeat(self.coherent, counts) * taus)
+        c_ge = np.abs(initial.c_ge) * np.exp(np.repeat(self.damped, counts) * taus)
+        return x_concurrence(*pops, c_as, c_ge, initial.tol)[2]
+
+
+_SECTION_POINTS = np.arange(_SECTIONS + 1.0)
 
 
 def _refine(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Maximize `fun` (vectorized over tau) on every bracket [lo[k], hi[k]] at once.
+    """Maximize `fun` on every bracket [lo[k], hi[k]] at once.
 
     Each round samples the active brackets at _SECTIONS + 1 evenly spaced
-    points, ends included, in one call of `fun` and keeps the two sections
-    around each best sample. A bracket stops at width max(tol, 64 ulp(hi)),
-    a floor reachable at any magnitude. Returns each bracket's best sample.
+    points, ends included (the arithmetic of np.linspace, whose zero-step
+    branch a bracket wider than tol never takes), in one call
+    fun(samples, active): `samples` holds those of bracket active[0], then
+    those of active[1], and so on. It keeps the two sections around each best
+    sample. A bracket stops at width max(tol, 64 ulp(hi)), a floor reachable
+    at any magnitude. Returns each bracket's best sample.
     """
     best_t, best_c = np.array(lo, dtype=float), np.full(len(lo), -np.inf)
     active = np.arange(best_t.size)
     for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             return best_t, best_c
-        ts = np.linspace(lo, hi, _SECTIONS + 1, axis=1)
-        cs = fun(ts.ravel()).reshape(ts.shape)
+        ts = _SECTION_POINTS * ((hi - lo) / _SECTIONS)[:, None] + lo[:, None]
+        ts[:, -1] = hi
+        cs = fun(ts.ravel(), active).reshape(ts.shape)
         k = np.arange(active.size)
         j = np.argmax(cs, axis=1)  # first maximum: ties go to the smallest tau
-        up = cs[k, j] > best_c[active]
-        best_t[active[up]], best_c[active[up]] = ts[k, j][up], cs[k, j][up]
+        c_best = cs[k, j]
+        up = c_best > best_c[active]
+        best_t[active[up]], best_c[active[up]] = ts[k, j][up], c_best[up]
         lo, hi = ts[k, np.maximum(j - 1, 0)], ts[k, np.minimum(j + 1, _SECTIONS)]
         going = hi - lo > np.maximum(tol, 64.0 * np.spacing(hi))
         active, lo, hi = active[going], lo[going], hi[going]
     raise ConvergenceError(f"bracket refinement did not converge in {_MAX_ROUNDS} rounds")
 
 
-def _search_grid(coeffs: CoefficientSet, state0: XState, horizon: float) -> np.ndarray:
+class _Row(NamedTuple):
+    """A coefficient set with its horizon and the plan of its search grid:
+    the points k dt, k = 0..m, with the last one set to the horizon, or,
+    if `tailed`, followed by a geometric tail from m dt to the horizon."""
+    coeffs: CoefficientSet
+    horizon: float
+    m: int
+    dt: float
+    tailed: bool
+
+    @property
+    def size(self) -> int:
+        return self.m + (_TAIL_SAMPLES if self.tailed else 1)
+
+
+def _plan(coeffs: CoefficientSet, state0: XState, horizon: float) -> _Row:
     """Search grid on [0, horizon]: the points of linspace(0, horizon, n + 1)
     (SAMPLES_PER_SCALE per time scale) up to the coherence window W, where
     the c_as bound 2|c_as(0)| exp(-4 a1 t) on the concurrence falls to 1e-13,
     but at least one scale; past W, where only the smooth populations
-    matter, a geometric tail of _TAIL_SAMPLES points up to the horizon."""
+    matter, a geometric tail of _TAIL_SAMPLES points up to the horizon.
+    DomainError for a horizon that is not finite and > 0, ConvergenceError
+    when the window needs more than _DENSE_BUDGET samples."""
+    if horizon <= 0.0 or not math.isfinite(horizon):
+        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     scale = _time_scale(coeffs, horizon)
     n = max(math.ceil(SAMPLES_PER_SCALE * horizon / scale), 100)
     c0 = max(2.0 * abs(state0.c_as), 1e-13)
@@ -191,11 +239,122 @@ def _search_grid(coeffs: CoefficientSet, state0: XState, horizon: float) -> np.n
     m = min(n, math.ceil(max(window, scale) / dt))
     if m > _DENSE_BUDGET:
         raise ConvergenceError(f"coherence window needs {m} samples; budget {_DENSE_BUDGET}")
-    taus = np.arange(m + 1) * dt
-    if m < n:
-        return np.concatenate([taus, np.geomspace(taus[-1], horizon, _TAIL_SAMPLES)[1:]])
-    taus[-1] = horizon
-    return taus
+    return _Row(coeffs, horizon, m, dt, m < n)
+
+
+def _search_grids(rows) -> np.ndarray:
+    """The search grids of the planned rows, concatenated."""
+    tailed = [row for row in rows if row.tailed]
+    tails = iter(np.geomspace([row.m * row.dt for row in tailed],
+                              [row.horizon for row in tailed], _TAIL_SAMPLES, axis=1)
+                 if tailed else ())
+    parts = []
+    for row in rows:
+        taus = np.arange(row.m + 1) * row.dt
+        if row.tailed:
+            parts += [taus, next(tails)[1:]]
+        else:
+            taus[-1] = row.horizon
+            parts.append(taus)
+    return np.concatenate(parts)
+
+
+def _search(rows, state0: XState, tol: float) -> list:
+    """(tau_star, c_max) of every planned row, in one pass: one scan of the
+    concatenated search grids, then one _refine over every local bracket;
+    raises what any row raises, before any row warns that its maximum sits
+    at the horizon."""
+    concurrence = _Trajectories([row.coeffs for row in rows], state0).concurrence
+    sizes = [row.size for row in rows]
+    ends = np.cumsum(sizes)
+    taus = _search_grids(rows)
+    curve = concurrence(taus, sizes)
+    edge = np.zeros(taus.size, dtype=bool)
+    edge[ends - sizes], edge[ends - 1] = True, True  # a row's ends have one neighbour
+    inner = np.nonzero((curve[1:-1] >= curve[:-2]) & (curve[1:-1] >= curve[2:])
+                       & (curve[1:-1] > 0.0) & ~edge[1:-1])[0] + 1
+    inner = inner[np.diff(inner, prepend=-2) != 1]  # a flat run needs one bracket
+    owner = np.searchsorted(ends, inner, side="right")  # the row of each bracket
+    t_ref, c_ref = _refine(
+        lambda ts, active: concurrence(
+            ts, np.bincount(owner[active], minlength=len(rows)) * (_SECTIONS + 1)),
+        taus[inner - 1], taus[inner + 1], tol)
+    found = []
+    bounds = np.searchsorted(owner, np.arange(len(rows) + 1)).tolist()
+    for lo, hi, b_lo, b_hi in zip([0, *ends.tolist()], ends.tolist(), bounds, bounds[1:]):
+        cand_t = np.concatenate([taus[lo:lo + 1], t_ref[b_lo:b_hi], taus[hi - 1:hi]])
+        cand_c = np.concatenate([curve[lo:lo + 1], c_ref[b_lo:b_hi], curve[hi - 1:hi]])
+        best = int(np.argmax(cand_c))  # candidates are time-ordered: smallest tau wins
+        tau_star, c_max = cand_t[best], cand_c[best]
+        if c_max <= 1e-13:  # below the roundoff floor of the k1 formula
+            found.append((0.0, 0.0))
+            continue
+        if tau_star >= taus[hi - 2] and curve[hi - 1] >= curve[hi - 2]:
+            warnings.warn("concurrence maximum sits at the horizon; extend it",
+                          RuntimeWarning)
+        found.append((float(tau_star), float(c_max)))
+    return found
+
+
+def _each(kernel, rows) -> list:
+    """kernel(rows), one result per row; if it raises, kernel([row]) for each
+    row on its own, a row's error standing as its result."""
+    try:
+        return kernel(rows)
+    except NUMERICAL_ERRORS as exc:
+        if len(rows) == 1:
+            return [exc]
+        return [_each(kernel, [row])[0] for row in rows]
+
+
+def _chunks(rows) -> list:
+    """The rows in order, cut into runs whose grids hold at most _CHUNK_SAMPLES
+    samples in all; a larger row is a run of its own."""
+    chunks, total = [], _CHUNK_SAMPLES
+    for row in rows:
+        if total + row[1].size > _CHUNK_SAMPLES:
+            chunks.append([])
+            total = 0
+        chunks[-1].append(row)
+        total += row[1].size
+    return chunks
+
+
+def _check_tol(tol: float):
+    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
+        raise DomainError(f"tol must lie in [1e-10, 1e-4], got {tol}")
+
+
+def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8,
+                     initial="ten") -> list:
+    """`max_concurrence` of every coefficient set in one call: its
+    (tau_star, c_max), or the error its own call would raise.
+
+    The default horizons come from one stacked computation, then the sets
+    are searched together in chunks, in order, whose grids hold at most
+    _CHUNK_SAMPLES samples in all (a larger set alone). If a chunk raises,
+    each of its sets is searched alone. A set gets the bits, the error and
+    the horizon warning of its own call, whatever else is searched with it.
+    """
+    _check_tol(tol)
+    state0 = prepare_initial(initial)
+    coeff_sets = list(coeff_sets)
+    if horizon is None:
+        found = _each(partial(default_horizons, initial=state0), coeff_sets)
+    else:
+        found = [horizon] * len(coeff_sets)
+    planned = []
+    for i, (coeffs, row_horizon) in enumerate(zip(coeff_sets, found)):
+        if not isinstance(row_horizon, Exception):
+            try:
+                planned.append((i, _plan(coeffs, state0, row_horizon)))
+            except NUMERICAL_ERRORS as exc:
+                found[i] = exc
+    for chunk in _chunks(planned):
+        searched = _each(partial(_search, state0=state0, tol=tol), [row for _, row in chunk])
+        for (i, _), result in zip(chunk, searched):
+            found[i] = result
+    return found
 
 
 def max_concurrence(params: SystemParams, horizon: float | None = None,
@@ -210,32 +369,13 @@ def max_concurrence(params: SystemParams, horizon: float | None = None,
     resolve to the smallest time. The default horizon outlasts both the
     coherence decay and the population relaxation. Warns when the maximum
     sits at the horizon; raises ConvergenceError when the coherence window
-    needs more than _DENSE_BUDGET samples. Returns (tau_star, c_max).
+    needs more than _DENSE_BUDGET samples. Returns (tau_star, c_max); the
+    one-set case of `max_concurrences`.
     """
-    if not (TOL_RANGE[0] <= tol <= TOL_RANGE[1]):
-        raise DomainError(f"tol must lie in [1e-10, 1e-4], got {tol}")
+    _check_tol(tol)
     if coeffs is None:
         coeffs = compute_coefficients(params)
-    state0 = prepare_initial(initial)
-    if horizon is None:
-        horizon = default_horizon(coeffs, state0)
-    if horizon <= 0.0 or not math.isfinite(horizon):
-        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
-
-    taus = _search_grid(coeffs, state0, horizon)
-    fun = partial(_concurrence_on_grid, _PopulationPropagator(coeffs), state0, coeffs)
-    curve = fun(taus)
-    inner = np.nonzero((curve[1:-1] >= curve[:-2]) & (curve[1:-1] >= curve[2:])
-                       & (curve[1:-1] > 0.0))[0] + 1
-    inner = inner[np.diff(inner, prepend=-2) != 1]  # a flat run needs one bracket
-    t_ref, c_ref = _refine(fun, taus[inner - 1], taus[inner + 1], tol)
-    cand_t = np.concatenate([taus[:1], t_ref, taus[-1:]])
-    cand_c = np.concatenate([curve[:1], c_ref, curve[-1:]])
-    best = int(np.argmax(cand_c))  # candidates are time-ordered: smallest tau wins
-    tau_star, c_max = cand_t[best], cand_c[best]
-    if c_max <= 1e-13:  # below the roundoff floor of the k1 formula
-        return 0.0, 0.0
-    if tau_star >= taus[-2] and curve[-1] >= curve[-2]:
-        warnings.warn("concurrence maximum sits at the horizon; extend it",
-                      RuntimeWarning)
-    return float(tau_star), float(c_max)
+    result = max_concurrences([coeffs], horizon, tol, initial)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result

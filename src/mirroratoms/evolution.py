@@ -156,17 +156,25 @@ def population_generator(coeffs: CoefficientSet) -> np.ndarray:
     Columns sum to zero (trace preservation); the coherent coupling d does
     not enter the populations at all.
     """
-    a1, a2, b1, b2 = coeffs.a1, coeffs.a2, coeffs.b1, coeffs.b2
+    return population_generators([coeffs])[0]
+
+
+def population_generators(coeff_sets) -> np.ndarray:
+    """The generators of `population_generator` for a sequence of coefficient
+    sets, stacked into shape (n, 4, 4)."""
+    return np.array([_generator_entries(c.a1, c.a2, c.b1, c.b2) for c in coeff_sets],
+                    dtype=float).reshape(-1, 4, 4)
+
+
+def _generator_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
     up_a = 2.0 * (a1 - b1 - a2 + b2)     # absorption through the antisymmetric channel
     up_s = 2.0 * (a1 - b1 + a2 - b2)     # absorption through the symmetric channel
     down_a = 2.0 * (a1 + b1 - a2 - b2)   # emission, antisymmetric channel
     down_s = 2.0 * (a1 + b1 + a2 + b2)   # emission, symmetric channel
-    return np.array([
-        [-4.0 * (a1 - b1), 0.0, down_a, down_s],
-        [0.0, -4.0 * (a1 + b1), up_a, up_s],
-        [up_a, down_a, -4.0 * (a1 - a2), 0.0],
-        [up_s, down_s, 0.0, -4.0 * (a1 + a2)],
-    ])
+    return (-4.0 * (a1 - b1), 0.0, down_a, down_s,
+            0.0, -4.0 * (a1 + b1), up_a, up_s,
+            up_a, down_a, -4.0 * (a1 - a2), 0.0,
+            up_s, down_s, 0.0, -4.0 * (a1 + a2))
 
 
 def rhs(state: XState, coeffs: CoefficientSet) -> StateDerivative:
@@ -181,25 +189,19 @@ def rhs(state: XState, coeffs: CoefficientSet) -> StateDerivative:
 
 
 class _PopulationPropagator:
-    """Eigen-decomposition of the population generator, reused across stamps.
+    """Eigen-decomposition m = v diag(w) v^-1 of one population generator,
+    reused across stamps; `w` is None where the eigenbasis is too
+    ill-conditioned to use (possible at near-degenerate coefficient sets),
+    and scaling-and-squaring takes over. `propagators` builds them."""
 
-    Falls back to scaling-and-squaring if the eigenbasis is ill-conditioned
-    (possible at near-degenerate coefficient sets).
-    """
-
-    def __init__(self, coeffs: CoefficientSet):
-        self.m = population_generator(coeffs)
-        w, v = np.linalg.eig(self.m)
-        self._diagonalizable = np.linalg.cond(v) < 1e12
-        if self._diagonalizable:
-            self.w = w
-            self.v = v
-            self.vinv = np.linalg.inv(v)
+    def __init__(self, m, w=None, v=None, vinv=None):
+        self.m, self.w, self.v, self.vinv = m, w, v, vinv
+        self._diagonalizable = w is not None
 
     def modes(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Eigenmode amplitudes of the populations at each tau, shape
         (4, len(taus)); the populations are `v` applied to them. Eigenbasis only."""
-        return (self.vinv @ p0)[:, None] * np.exp(np.outer(self.w, taus))
+        return (self.vinv @ p0)[:, None] * np.exp(self.w[:, None] * taus)
 
     def propagate(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Populations at each tau, shape (4, len(taus))."""
@@ -211,6 +213,30 @@ class _PopulationPropagator:
             for i, t in enumerate(taus):
                 out[:, i] = scipy.linalg.expm(self.m * t) @ p0
         return out
+
+
+def propagators(coeff_sets) -> list:
+    """One _PopulationPropagator per coefficient set, from one stacked call
+    each of eig, cond and inv. LAPACK factors every matrix of a stack on its
+    own, so each gets the bits of a call on it alone, once its dtype is
+    restored: the stack's eigenpairs are complex when any matrix has complex
+    eigenvalues, and, as eig does for one matrix, a matrix whose eigenvalues
+    are all real keeps their real parts (cond and inv then run on real
+    matrices). Each keeps a view of the stack, with the strides of its own
+    call's eigenvectors, which the products of the populations round by."""
+    ms = population_generators(coeff_sets)
+    w, v = np.linalg.eig(ms)
+    real = (w.imag == 0.0).all(axis=1)
+    w = [wi.real if r else wi for wi, r in zip(w, real)]
+    v = [vi.real if r else vi for vi, r in zip(v, real)]
+    props = [_PopulationPropagator(m) for m in ms]
+    for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
+        if rows.size:
+            vs = np.array([v[i] for i in rows])
+            fine = np.linalg.cond(vs) < 1e12
+            for i, vinv in zip(rows[fine].tolist(), np.linalg.inv(vs[fine])):
+                props[i] = _PopulationPropagator(ms[i], w[i], v[i], vinv)
+    return props
 
 
 def _check_times(times) -> np.ndarray:
@@ -264,7 +290,7 @@ def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionRe
     HARD_TOL, which signals an inconsistent coefficient set.
     """
     t = _check_times(times)
-    prop = _PopulationPropagator(coeffs)
+    prop = propagators([coeffs])[0]
     if prop._diagonalizable:
         # One 4x4 @ 4x1 product per stamp, stacked: BLAS may round a single
         # 4x4 @ 4xN product differently with N, and a stamp must give the same
@@ -343,30 +369,41 @@ def steady_state(coeffs: CoefficientSet) -> XState:
     DegenerateKernelError when the generator's null space is not
     one-dimensional (a1 = |a2| pathologies) instead of guessing.
     """
-    if coeffs.a1 <= 0.0:
-        raise DomainError("steady state requires a1 > 0")
-    m = population_generator(coeffs)
-    _, s, vt = np.linalg.svd(m)
-    null_dim = int(np.sum(s <= 1e-10 * s[0]))
-    if null_dim != 1:
-        raise DegenerateKernelError(
-            f"population generator has a {null_dim}-dimensional null space")
-    v = vt[-1]
-    total = v.sum()
-    if abs(total) < 1e-8:
-        raise DegenerateKernelError("null vector is traceless; cannot normalize")
-    p = v / total
+    p = _null_populations([coeffs], population_generators([coeffs]))[0]
     return XState(p_gg=p[0], p_ee=p[1], p_aa=p[2], p_ss=p[3])
+
+
+def _null_populations(coeff_sets, ms) -> np.ndarray:
+    """The trace-one null vectors (n, 4) of the stacked generators `ms` of
+    `coeff_sets`, unchecked as states; raises the error of `steady_state`
+    for the first check any set fails."""
+    if any(c.a1 <= 0.0 for c in coeff_sets):
+        raise DomainError("steady state requires a1 > 0")
+    _, s, vt = np.linalg.svd(ms)
+    null_dim = np.sum(s <= 1e-10 * s[:, :1], axis=1)
+    if (null_dim != 1).any():
+        raise DegenerateKernelError("population generator has a "
+                                    f"{null_dim[null_dim != 1][0]}-dimensional null space")
+    v = vt[:, -1]
+    total = v.sum(axis=1)
+    if (np.abs(total) < 1e-8).any():
+        raise DegenerateKernelError("null vector is traceless; cannot normalize")
+    return v / total[:, None]
 
 
 def slowest_relaxation_rate(coeffs: CoefficientSet) -> float:
     """Smallest nonzero decay rate of the population generator."""
-    w = np.linalg.eigvals(population_generator(coeffs))
-    rates = np.abs(w.real)
-    nonzero = rates[rates > 1e-10 * max(rates.max(), 1e-300)]
-    if nonzero.size == 0:
+    rate = _relaxation_rates(population_generators([coeffs]))[0]
+    if rate == math.inf:
         raise DegenerateKernelError("population generator has no decaying mode")
-    return float(nonzero.min())
+    return float(rate)
+
+
+def _relaxation_rates(ms) -> np.ndarray:
+    """`slowest_relaxation_rate` of each stacked generator, inf where none decays."""
+    rates = np.abs(np.linalg.eigvals(ms).real)
+    floor = 1e-10 * np.maximum(rates.max(axis=1), 1e-300)
+    return np.where(rates > floor[:, None], rates, math.inf).min(axis=1)
 
 
 COHERENCE_FLOOR = 1e-6
@@ -376,15 +413,31 @@ POPULATION_FLOOR = 1e-8
 def default_horizon(coeffs: CoefficientSet, initial: XState) -> float:
     """Horizon after which the coherences have fallen below COHERENCE_FLOOR
     and the populations sit within POPULATION_FLOOR of the steady state."""
-    t_coh = 0.0
+    return default_horizons([coeffs], initial)[0]
+
+
+def default_horizons(coeff_sets, initial: XState) -> list:
+    """`default_horizon` of each coefficient set, from one stacked call each
+    of svd and eigvals; raises the error of the first check any set fails,
+    in the order the one-set call makes them."""
+    ms = population_generators(coeff_sets)
+    p = _null_populations(coeff_sets, ms)
+    zero = np.zeros(len(p))
+    held = x_invariants(*p.T, zero, zero, HARD_TOL)[0]  # the check of steady_state's XState
+    gaps = np.abs(initial.populations - held.T).sum(axis=1)
+    rates = _relaxation_rates(ms)
+    if ((gaps > POPULATION_FLOOR) & (rates == math.inf)).any():
+        raise DegenerateKernelError("population generator has no decaying mode")
     c0 = max(abs(initial.c_as), abs(initial.c_ge))
-    if c0 > COHERENCE_FLOOR and coeffs.a1 > 0.0:
-        t_coh = math.log(c0 / COHERENCE_FLOOR) / (4.0 * coeffs.a1)
-    gap = np.abs(initial.populations - steady_state(coeffs).populations).sum()
-    t_pop = 0.0
-    if gap > POPULATION_FLOOR:
-        t_pop = math.log(gap / POPULATION_FLOOR) / slowest_relaxation_rate(coeffs)
-    return max(t_coh, t_pop, 1.0)
+    horizons = []
+    for coeffs, gap, rate in zip(coeff_sets, gaps.tolist(), rates.tolist()):
+        t_coh = t_pop = 0.0
+        if c0 > COHERENCE_FLOOR and coeffs.a1 > 0.0:
+            t_coh = math.log(c0 / COHERENCE_FLOOR) / (4.0 * coeffs.a1)
+        if gap > POPULATION_FLOOR:
+            t_pop = math.log(gap / POPULATION_FLOOR) / rate
+        horizons.append(max(t_coh, t_pop, 1.0))
+    return horizons
 
 
 SAMPLES_PER_SCALE = 40  # of default_time_grid and of max_concurrence's search grid

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concurrence import _generation_rate, max_concurrence
+from .concurrence import _generation_rate, max_concurrences
 from .correlations import (CoefficientSet, SystemParams, _coefficients,
                            compute_coefficients)
 from .errors import NUMERICAL_ERRORS, DomainError
@@ -178,11 +178,12 @@ class SweepResult:
 def _point_rows(spec: SweepSpec) -> list:
     """The rows of a rate, coefficients or cmax sweep from plain floats: the
     coefficients once per grid point (SweepSpec has checked what SystemParams
-    would), then the quantity per variant, with d = 0 for without_D. A failure
-    of the coefficients marks every variant's row, one of the quantity its own."""
+    would), then the quantity per variant, with d = 0 for without_D; the
+    maxima of a cmax sweep come from one max_concurrences call. A failure of
+    the coefficients marks every variant's row, one of the quantity its own."""
     dims = dict(spec.fixed)
     rate, cmax = spec.quantity == "rate", spec.quantity == "cmax"
-    rows = []
+    rows, searched = [], []
     for g in spec.grid:
         dims[spec.axis] = g
         try:
@@ -194,14 +195,19 @@ def _point_rows(spec: SweepSpec) -> list:
         for variant in spec.variants:
             dv = d if variant == "with_D" else 0.0
             value = error = None
-            try:
-                if rate:
+            if cmax:
+                searched.append(len(rows))
+            elif rate:
+                try:
                     value = _generation_rate(a1, a2, b1, dv)
-                elif cmax:
-                    value = max_concurrence(None, coeffs=CoefficientSet(a1, a2, b1, b2, dv))[1]
-            except NUMERICAL_ERRORS as exc:
-                error = str(exc)
+                except NUMERICAL_ERRORS as exc:
+                    error = str(exc)
             rows.append((g, variant, value, a1, a2, b1, b2, dv, error))
+    if searched:
+        maxima = max_concurrences(CoefficientSet(*rows[i][3:8]) for i in searched)
+        for i, found in zip(searched, maxima):
+            cells = (None, str(found)) if isinstance(found, Exception) else (found[1], None)
+            rows[i] = (*rows[i][:2], cells[0], *rows[i][3:8], cells[1])
     return rows
 
 

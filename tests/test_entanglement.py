@@ -14,11 +14,12 @@ from mirroratoms import (CoefficientSet, ConvergenceError, DomainError,
                          SystemParams, XState, compute_coefficients,
                          concurrence_general, concurrence_x, default_horizon,
                          evolve_closed, evolve_numeric, generation_rate, k1_closed,
-                         max_concurrence, population_generator, prepare_initial,
-                         preset, run_sweep, to_product_matrix)
+                         max_concurrence, max_concurrences, population_generator,
+                         prepare_initial, preset, run_sweep, to_product_matrix)
 from mirroratoms.cli import main
-from mirroratoms.concurrence import _concurrence_on_grid, _refine, _search_grid
-from mirroratoms.evolution import HARD_TOL, _PopulationPropagator, x_concurrence
+from mirroratoms.concurrence import _plan, _refine, _search_grids, _Trajectories
+from mirroratoms.errors import NUMERICAL_ERRORS
+from mirroratoms.evolution import HARD_TOL, propagators, x_concurrence
 
 from conftest import random_params, random_x_state
 import reference as ref
@@ -356,6 +357,77 @@ def test_dense_budget_overrun_is_an_error(monkeypatch, anchor_params, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+# (omega*z, a/omega, omega*L) of a batch, both variants each: ordinary rows
+# and (0.5, 0.1, 1e-4), the budget probe; (24.1, 1.88, 1.83e-8), where
+# a1 == a2 and the steady state is degenerate; (0.5, 0.1, 1e-6), whose
+# eigenbasis is too ill-conditioned to use (expm)
+_BUDGET_PROBE = (0.5, 0.1, 1e-4)
+_EXPM_ROW = (0.5, 0.1, 1e-6)
+_BATCH_POINTS = [(0.4, 1.0, 0.3), _BUDGET_PROBE, (20.0, 0.1, 3.0), (24.1, 1.88, 1.83e-8),
+                 (0.01, 0.5, 0.4), _EXPM_ROW, (4000.0, 2.0, 30.0), (1.0, 2.7, 9.0),
+                 (0.05, 0.1, 12.0)]
+# the set of test_max_concurrence_rejects_a_positivity_breach
+_BREACH = CoefficientSet(0.1, -0.4, 0.15, 0.4, -0.3)
+
+
+def _outcome(found):
+    """The bits of a (tau_star, c_max), or the type and message of an error."""
+    if isinstance(found, Exception):
+        return type(found), str(found)
+    return tuple(float(x).hex() for x in found)
+
+
+def _one_row(coeffs, horizon):
+    """The outcome of max_concurrence on one set and its horizon warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            found = max_concurrence(None, horizon, coeffs=coeffs)
+        except NUMERICAL_ERRORS as exc:
+            found = exc
+    return _outcome(found), len(caught)
+
+
+@pytest.mark.parametrize("budget", [2 ** 15, 6000])
+@pytest.mark.parametrize("horizon", [None, 3.0])
+def test_batched_search_matches_one_row_calls(monkeypatch, horizon, budget):
+    sets = []
+    for dims in _BATCH_POINTS:
+        coeffs = compute_coefficients(SystemParams.from_dimensionless(*dims))
+        sets += [coeffs, coeffs.without_d()]
+    sets.insert(3, _BREACH)
+    expected = [_one_row(coeffs, horizon) for coeffs in sets]
+    assert not propagators([sets[12]])[0]._diagonalizable  # _EXPM_ROW, without_D
+
+    calls = []  # (sets, samples, whether it raised) per chunk
+    real = concurrence_mod._search
+
+    def spy(rows, *args, **kwargs):
+        calls.append([[row.coeffs for row in rows], sum(row.size for row in rows), True])
+        found = real(rows, *args, **kwargs)
+        calls[-1][2] = False
+        return found
+
+    monkeypatch.setattr(concurrence_mod, "_CHUNK_SAMPLES", budget)
+    monkeypatch.setattr(concurrence_mod, "_search", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = max_concurrences(sets, horizon)
+    assert [_outcome(f) for f in found] == [outcome for outcome, _ in expected]
+    assert len(caught) == sum(count for _, count in expected)  # once per row
+    assert all(samples <= budget for batch, samples, _ in calls if len(batch) > 1)
+    chunks = [batch for batch, _, _ in calls if len(batch) > 1]
+    assert len(chunks) < len(sets) / 2  # rows were searched together
+    if horizon is None:  # raised while planning, before any search
+        probe = compute_coefficients(SystemParams.from_dimensionless(*_BUDGET_PROBE))
+        assert not any(probe in batch for batch, _, _ in calls)
+        assert "budget" in expected[2][0][1]
+    else:  # the breach fails its chunk, which is searched again row by row
+        assert any(_BREACH in batch and len(batch) > 1 and raised for batch, _, raised in calls)
+        assert any(_BREACH in batch and len(batch) == 1 for batch, _, _ in calls)
+        assert sum(count for _, count in expected) >= 5
+
+
 _MAGNITUDE = st.floats(0.0, 1e15)
 
 
@@ -368,7 +440,7 @@ def test_refine_terminates_inside_each_bracket(brackets, center, freq):
     def fun(t):
         return np.cos(freq * t) - np.abs(t - center) / 1e15
 
-    taus, values = _refine(fun, lo, hi, 1e-8)
+    taus, values = _refine(lambda t, _active: fun(t), lo, hi, 1e-8)
     assert np.all((lo <= taus) & (taus <= hi))
     assert np.all(values >= np.maximum(fun(lo), fun(hi)))
     assert np.array_equal(values, fun(taus))
@@ -396,16 +468,15 @@ def _coeffs_at(dims, with_d):
 def test_max_concurrence_bounds_its_own_grid(point):
     coeffs = _coeffs_at(*point)
     state0 = prepare_initial("ten")
-    taus = _search_grid(coeffs, state0, default_horizon(coeffs, state0))
-    prop = _PopulationPropagator(coeffs)
-    curve = _concurrence_on_grid(prop, state0, coeffs, taus)
+    taus = _search_grids([_plan(coeffs, state0, default_horizon(coeffs, state0))])
+    curve = _Trajectories([coeffs], state0).concurrence(taus, [taus.size])
     # past the coherence window the grid turns geometric and c_as no longer
     # moves the concurrence by more than 1e-13 (the horizon itself is set
     # exactly, so it may differ from n * dt on a grid with no tail)
     tail = (taus != np.arange(taus.size) * taus[1]) & (taus < taus[-1])
     incoherent = XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5)
-    assert np.all(np.abs(curve[tail] - _concurrence_on_grid(
-        prop, incoherent, coeffs, taus[tail])) <= 1e-13)
+    assert np.all(np.abs(curve[tail] - _Trajectories([coeffs], incoherent).concurrence(
+        taus[tail], [tail.sum()])) <= 1e-13)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _, c_max = max_concurrence(None, coeffs=coeffs)

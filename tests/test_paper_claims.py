@@ -3,8 +3,9 @@ command line emits them: each figure is rendered with `figure N --format
 json` and read back with `load_result`, so a claim holds for the bytes a
 user gets, not for an internal path.
 
-C2 (anti-Unruh): at small boundary distance the generation rate is not
-monotonic in the acceleration; near the mirror and far from it it is.
+C2 (anti-Unruh): at small boundary distance the generation rate (figure 3)
+and the maximum of the concurrence (figure 9) are not monotonic in the
+acceleration; near the mirror and far from it they are.
 C4: at larger acceleration, the concurrence disappears later when the
 environment-induced interaction D is kept.
 
@@ -55,6 +56,21 @@ def test_c2_rate_is_non_monotonic_in_acceleration_only_at_small_distance(tmp_pat
             assert count >= 3, (l_omega, count)  # measured 8, 7, 5 for L = 0.3, 3, 30
         else:
             assert count <= 1, (z_omega, l_omega, count)  # measured 0 or 1
+
+
+@pytest.mark.parametrize("points", [200, 400])
+def test_c2_cmax_is_non_monotonic_in_acceleration_only_at_small_distance(tmp_path, points):
+    changes = {}
+    for result in render(9, tmp_path, points):
+        if result.spec.variants == ("with_D",):
+            fixed = result.spec.fixed
+            changes[fixed["z_omega"], fixed["l_omega"]] = slope_sign_changes(result.columns.value)
+    assert len(changes) == 9
+    for (z_omega, l_omega), count in changes.items():
+        if z_omega == 20.0:
+            assert count >= 3, (l_omega, count)  # measured 8, 7, 5 for L = 0.3, 3, 30
+        else:
+            assert count == 0, (z_omega, l_omega, count)  # measured 0
 
 
 def death_time(result) -> float:

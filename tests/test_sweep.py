@@ -337,23 +337,24 @@ def test_split_variants_does_not_validate_the_grid_again(monkeypatch):
 
 def test_cmax_sweep_matches_per_point_rows(monkeypatch):
     # omega*z = 1e155 fails the coefficients; a forced failure of the
-    # without_D search at omega*z = 1 marks that row alone
-    real = sweep_mod.max_concurrence
+    # without_D search at omega*z = 1 fails its chunk, which is searched
+    # again row by row, and marks that row alone
+    real = concurrence_mod._search
 
-    def flaky(params, *args, coeffs=None, **kwargs):
-        if coeffs.d == 0.0 and coeffs.a1 == bad.a1:
+    def flaky(rows, *args, **kwargs):
+        if any(row.coeffs.d == 0.0 and row.coeffs.a1 == bad.a1 for row in rows):
             raise DomainError("forced search failure")
-        return real(params, *args, coeffs=coeffs, **kwargs)
+        return real(rows, *args, **kwargs)
 
     spec = SweepSpec(axis="z_omega", grid=(0.4, 1.0, 1e155),
                      fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity="cmax")
     bad = compute_coefficients(SystemParams.from_dimensionless(1.0, 1.0, 0.3))
-    monkeypatch.setattr(sweep_mod, "max_concurrence", flaky)
-    monkeypatch.setattr(concurrence_mod, "max_concurrence", flaky)
+    monkeypatch.setattr(concurrence_mod, "_search", flaky)
     result, expected = run_sweep(spec), _per_point_rows(spec)
     assert result.rows == expected
     assert [(r.axis_value, r.variant) for r in expected if r.error is not None] == \
         [(1.0, "without_D"), (1e155, "with_D"), (1e155, "without_D")]
+    assert result.rows[3].error == "forced search failure"
     assert render_json(result) == render_json(from_rows(spec, expected))
 
 
