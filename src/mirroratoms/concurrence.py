@@ -164,12 +164,17 @@ class _Trajectories:
         stamps, which BLAS may round differently with N; the rest is
         elementwise, so a stamp's bits do not depend on the other sets'."""
         initial, ends = self.initial, np.cumsum(counts).tolist()
-        pops = np.empty((4, taus.size))
+        p0, pops = initial.populations, np.empty((4, taus.size))
         for prop, lo, hi in zip(self.props, [0, *ends], ends):
             if hi > lo:
-                pops[:, lo:hi] = prop.propagate(initial.populations, taus[lo:hi])
-        c_as = initial.c_as * np.exp(np.repeat(self.coherent, counts) * taus)
-        c_ge = np.abs(initial.c_ge) * np.exp(np.repeat(self.damped, counts) * taus)
+                pops[:, lo:hi] = prop.propagate(p0, taus[lo:hi])
+        # in place, each product with its operands in the order of a one-set call
+        c_as = np.repeat(self.coherent, counts)
+        np.multiply(c_as, taus, out=c_as)
+        np.multiply(initial.c_as, np.exp(c_as, out=c_as), out=c_as)
+        c_ge = np.repeat(self.damped, counts)
+        np.multiply(c_ge, taus, out=c_ge)
+        np.multiply(np.abs(initial.c_ge), np.exp(c_ge, out=c_ge), out=c_ge)
         return x_concurrence(*pops, c_as, c_ge, initial.tol)[2]
 
 

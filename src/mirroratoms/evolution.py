@@ -201,7 +201,8 @@ class _PopulationPropagator:
     def modes(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Eigenmode amplitudes of the populations at each tau, shape
         (4, len(taus)); the populations are `v` applied to them. Eigenbasis only."""
-        return (self.vinv @ p0)[:, None] * np.exp(self.w[:, None] * taus)
+        modes = self.w[:, None] * taus  # exponentiated and scaled in place
+        return np.multiply((self.vinv @ p0)[:, None], np.exp(modes, out=modes), out=modes)
 
     def propagate(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
         """Populations at each tau, shape (4, len(taus))."""
