@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .correlations import CoefficientSet, SystemParams, compute_coefficients
-from .errors import NUMERICAL_ERRORS, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, each_or_alone
 from .evolution import (SAMPLES_PER_SCALE, XState, _time_scale, default_horizons,
                         prepare_initial, propagators, x_concurrence)
 
@@ -128,11 +128,16 @@ def generation_rate(coeffs: CoefficientSet) -> GenerationReport:
 def _generation_rate(a1: float, a2: float, b1: float, d: float) -> float:
     """The rate of `generation_rate` from plain floats; the one implementation
     of the formula."""
-    a1_sq, b1_sq = a1 ** 2, b1 ** 2
+    try:
+        a1_sq, b1_sq, scale = a1 ** 2, b1 ** 2, 1.0
+    except OverflowError:  # squares past the float range: those of a1, b1 scaled down
+        scale = max(abs(a1), abs(b1))
+        a1_sq, b1_sq = (a1 / scale) ** 2, (b1 / scale) ** 2
     disc = a1_sq - b1_sq
     if disc < -1e-12 * max(a1_sq, b1_sq, 1e-300):
-        raise DomainError(f"a1^2 - b1^2 = {disc:.3e} < 0; invalid coefficient set")
-    return 4.0 * math.hypot(a2, d) - 4.0 * math.sqrt(max(disc, 0.0))
+        raise DomainError(f"a1^2 - b1^2 = {disc * scale * scale:.3e} < 0; "
+                          "invalid coefficient set")
+    return 4.0 * math.hypot(a2, d) - 4.0 * scale * math.sqrt(max(disc, 0.0))
 
 
 def k1_closed(tau: float, populations, coeffs: CoefficientSet) -> float:
@@ -233,11 +238,15 @@ def _plan(coeffs: CoefficientSet, state0: XState, horizon: float) -> _Row:
     but at least one scale; past W, where only the smooth populations
     matter, a geometric tail of _TAIL_SAMPLES points up to the horizon.
     DomainError for a horizon that is not finite and > 0, ConvergenceError
-    when the window needs more than _DENSE_BUDGET samples."""
+    when the window needs more than _DENSE_BUDGET samples or the horizon
+    more grid points than a float holds."""
     if horizon <= 0.0 or not math.isfinite(horizon):
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     scale = _time_scale(coeffs, horizon)
-    n = max(math.ceil(SAMPLES_PER_SCALE * horizon / scale), 100)
+    count = SAMPLES_PER_SCALE * horizon / scale
+    if count == math.inf:
+        raise ConvergenceError(f"horizon {horizon:.3g} needs more grid points than a float counts")
+    n = max(math.ceil(count), 100)
     c0 = max(2.0 * abs(state0.c_as), 1e-13)
     window = math.log(c0 / 1e-13) / (4.0 * coeffs.a1) if coeffs.a1 > 0.0 else horizon
     dt = horizon / n
@@ -301,27 +310,16 @@ def _search(rows, state0: XState, tol: float) -> list:
     return found
 
 
-def _each(kernel, rows) -> list:
-    """kernel(rows), one result per row; if it raises, kernel([row]) for each
-    row on its own, a row's error standing as its result."""
-    try:
-        return kernel(rows)
-    except NUMERICAL_ERRORS as exc:
-        if len(rows) == 1:
-            return [exc]
-        return [_each(kernel, [row])[0] for row in rows]
-
-
 def _chunks(rows) -> list:
     """The rows in order, cut into runs whose grids hold at most _CHUNK_SAMPLES
     samples in all; a larger row is a run of its own."""
     chunks, total = [], _CHUNK_SAMPLES
     for row in rows:
-        if total + row[1].size > _CHUNK_SAMPLES:
+        if total + row.size > _CHUNK_SAMPLES:
             chunks.append([])
             total = 0
         chunks[-1].append(row)
-        total += row[1].size
+        total += row.size
     return chunks
 
 
@@ -335,31 +333,24 @@ def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8
     """`max_concurrence` of every coefficient set in one call: its
     (tau_star, c_max), or the error its own call would raise.
 
-    The default horizons come from one stacked computation, then the sets
-    are searched together in chunks, in order, whose grids hold at most
-    _CHUNK_SAMPLES samples in all (a larger set alone). If a chunk raises,
-    each of its sets is searched alone. A set gets the bits, the error and
-    the horizon warning of its own call, whatever else is searched with it.
+    The sets are planned together (default horizons from one stacked
+    computation), then searched in chunks, in order, whose grids hold at most
+    _CHUNK_SAMPLES samples in all (a larger set alone); `each_or_alone` plans
+    or searches the sets of a failing batch alone. A set gets the bits, the
+    error and the horizon warning of its own call, whatever else it is with.
     """
     _check_tol(tol)
     state0 = prepare_initial(initial)
-    coeff_sets = list(coeff_sets)
-    if horizon is None:
-        found = _each(partial(default_horizons, initial=state0), coeff_sets)
-    else:
-        found = [horizon] * len(coeff_sets)
-    planned = []
-    for i, (coeffs, row_horizon) in enumerate(zip(coeff_sets, found)):
-        if not isinstance(row_horizon, Exception):
-            try:
-                planned.append((i, _plan(coeffs, state0, row_horizon)))
-            except NUMERICAL_ERRORS as exc:
-                found[i] = exc
-    for chunk in _chunks(planned):
-        searched = _each(partial(_search, state0=state0, tol=tol), [row for _, row in chunk])
-        for (i, _), result in zip(chunk, searched):
-            found[i] = result
-    return found
+
+    def plan(sets):
+        horizons = default_horizons(sets, state0) if horizon is None else [horizon] * len(sets)
+        return [_plan(coeffs, state0, h) for coeffs, h in zip(sets, horizons)]
+
+    planned = each_or_alone(plan, list(coeff_sets))
+    rows = [row for row in planned if isinstance(row, _Row)]
+    search = partial(_search, state0=state0, tol=tol)
+    searched = iter([found for chunk in _chunks(rows) for found in each_or_alone(search, chunk)])
+    return [next(searched) if isinstance(row, _Row) else row for row in planned]
 
 
 def max_concurrence(params: SystemParams, horizon: float | None = None,

@@ -136,6 +136,8 @@ def _kernel_pair(omega: float, accel: float, d: float) -> tuple:
         x = 2.0 * omega * d
         return math.sin(x) / x, math.cos(x) / x
     phase = (2.0 * omega / accel) * math.asinh(accel * d)
+    if phase == math.inf:  # accel*d or omega/accel past 1e305: the denominator
+        return 0.0, 0.0    # exceeds 1e299, and both kernels are 0 to double precision
     denom = 2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)
     return math.sin(phase) / denom, math.cos(phase) / denom
 

@@ -21,3 +21,14 @@ class DegenerateKernelError(RuntimeError):
 # the command line exits 3 on them.
 NUMERICAL_ERRORS = (DomainError, ConvergenceError, InvariantError,
                     DegenerateKernelError)
+
+
+def each_or_alone(kernel, items) -> list:
+    """kernel(items), one result per item; if it raises one of NUMERICAL_ERRORS,
+    kernel([item]) for each item alone, an item's error standing as its result."""
+    try:
+        return kernel(items)
+    except NUMERICAL_ERRORS as exc:
+        if len(items) == 1:
+            return [exc]
+        return [each_or_alone(kernel, [item])[0] for item in items]

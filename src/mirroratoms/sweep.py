@@ -21,8 +21,9 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from . import __version__
 from .concurrence import _generation_rate, max_concurrences
 from .correlations import (CoefficientSet, SystemParams, _coefficients,
                            compute_coefficients)
-from .errors import NUMERICAL_ERRORS, DomainError
+from .errors import NUMERICAL_ERRORS, DomainError, each_or_alone
 from .evolution import (default_time_grid, evolve_closed, prepare_initial,
                         tau_horizon)
 
@@ -175,6 +176,14 @@ class SweepResult:
         return parts
 
 
+def _row(g: float, variant: str, coeffs: tuple, found, value=None) -> tuple:
+    """The row of (g, variant) with `coeffs` (or five Nones): if `found` is
+    an error, no value and its marker, else value(found), or `found` itself."""
+    if isinstance(found, Exception):
+        return (g, variant, None, *coeffs, str(found))
+    return (g, variant, found if value is None else value(found), *coeffs, None)
+
+
 def _point_rows(spec: SweepSpec) -> list:
     """The rows of a rate, coefficients or cmax sweep from plain floats: the
     coefficients once per grid point (SweepSpec has checked what SystemParams
@@ -190,7 +199,7 @@ def _point_rows(spec: SweepSpec) -> list:
             a1, a2, b1, b2, d = _coefficients(1.0, dims["a_over_omega"],
                                               dims["z_omega"], dims["l_omega"])
         except NUMERICAL_ERRORS as exc:
-            rows.extend((g, v, *(None,) * 6, str(exc)) for v in spec.variants)
+            rows.extend(_row(g, v, (None,) * 5, exc) for v in spec.variants)
             continue
         for variant in spec.variants:
             dv = d if variant == "with_D" else 0.0
@@ -206,20 +215,8 @@ def _point_rows(spec: SweepSpec) -> list:
     if searched:
         maxima = max_concurrences(CoefficientSet(*rows[i][3:8]) for i in searched)
         for i, found in zip(searched, maxima):
-            cells = (None, str(found)) if isinstance(found, Exception) else (found[1], None)
-            rows[i] = (*rows[i][:2], cells[0], *rows[i][3:8], cells[1])
+            rows[i] = _row(*rows[i][:2], rows[i][3:8], found, itemgetter(1))
     return rows
-
-
-def _curve(coeffs: CoefficientSet, grid) -> list:
-    """(concurrence, None) per tau stamp from one evolve_closed call, the
-    bytes of each stamp on its own. If the call raises, the stamps are
-    evaluated one by one, and a failing one gives (None, its marker)."""
-    try:
-        return [(c, None) for c in evolve_closed(prepare_initial("ten"), coeffs,
-                                                 grid).concurrence.tolist()]
-    except NUMERICAL_ERRORS as exc:
-        return [(None, str(exc))] if len(grid) == 1 else [_curve(coeffs, [g])[0] for g in grid]
 
 
 def _tau_rows(spec: SweepSpec) -> list:
@@ -229,11 +226,15 @@ def _tau_rows(spec: SweepSpec) -> list:
     try:
         full = _coefficients(1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
     except NUMERICAL_ERRORS as exc:
-        return [(g, v, *(None,) * 6, str(exc)) for g in spec.grid for v in spec.variants]
+        return [_row(g, v, (None,) * 5, exc) for g in spec.grid for v in spec.variants]
+
+    def curve(coeffs, stamps):
+        return evolve_closed(prepare_initial("ten"), coeffs, stamps).concurrence.tolist()
+
     coeffs = {v: (*full[:4], full[4] if v == "with_D" else 0.0) for v in spec.variants}
-    curves = [(v, c, _curve(CoefficientSet(*c), spec.grid)) for v, c in coeffs.items()]
-    return [(g, variant, cells[i][0], *c, cells[i][1])
-            for i, g in enumerate(spec.grid) for variant, c, cells in curves]
+    found = {v: each_or_alone(partial(curve, CoefficientSet(*c)), spec.grid)
+             for v, c in coeffs.items()}
+    return [_row(g, v, c, found[v][i]) for i, g in enumerate(spec.grid) for v, c in coeffs.items()]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
