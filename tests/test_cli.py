@@ -432,3 +432,58 @@ def test_figure_bytes_are_pinned(tmp_path, capsys, figure):
     for path in sorted(out.iterdir()):
         digest.update(path.read_bytes())
     assert digest.hexdigest() == _FIGURE_DIGESTS[figure]
+
+
+# Sweep configs whose files no figure digest covers: both variants
+# interleaved in one file, a --no-d sweep, a tau sweep, and error rows (the
+# diagonal distance overflows at omega*z = 1e155; omega*L = 1.83e-8 at
+# omega*z = 24.1, a/omega = 1.88 is a degenerate-kernel row of cmax).
+_SWEEP_CONFIGS = {
+    "rate": {"axis": "z_omega", "quantity": "rate",
+             "grid": [0.01, 0.2, 0.4, 1.0, 3.7, 20.0, 150.0, 4000.0, 1e155],
+             "fixed": {"a_over_omega": 1.0, "l_omega": 0.3}},
+    "coefficients": {"axis": "a_over_omega", "quantity": "coefficients",
+                     "grid": [0.0, 1e-7, 2.5e-6, 0.02, 0.5, 1.0, 2.7, 1e160],
+                     "fixed": {"z_omega": 0.4, "l_omega": 3.0}},
+    "cmax": {"axis": "l_omega", "quantity": "cmax",
+             "grid": [1.83e-8, 1e-4, 0.3, 1.9, 4.0],
+             "fixed": {"z_omega": 24.1, "a_over_omega": 1.88}},
+    "tau": {"axis": "tau", "quantity": "concurrence_t",
+            "grid": [0.0, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0],
+            "fixed": {"z_omega": 0.4, "a_over_omega": 1.0, "l_omega": 0.3}},
+}
+
+# SHA-256 of a sweep's output file, recorded before rate, coefficients and
+# cmax sweeps were computed as one array program and their shared cells
+# formatted once per grid point; the same libm caveat as the figure
+# digests applies.
+_SWEEP_DIGESTS = {
+    ("rate", "json"):
+        "e05b183b15809572b3c7f8fb1c3ec0711e90a0df515ab8a951bad85f50863fd4",
+    ("rate", "csv"):
+        "5c8f8ad18a118a3aeab844a1033a42044aa2936f7f0083868044e96bde960c8e",
+    ("rate", "json", "--no-d"):
+        "c8c05afa8c3f390ba83436d8072d5da222943d400d094f908275691f30cb4358",
+    ("coefficients", "json"):
+        "284bf03961fb1cacf59830d6fdc645719bef66e35db8773d6a36972529d0cd93",
+    ("coefficients", "csv"):
+        "592a62746e65ca12063568ef19d2f12beb091739087035aa927d62f1009d08db",
+    ("cmax", "json"):
+        "75919f8b4beae4dc73e7781b3856b514db8cc84612d2ee12d79e5ebde8310af7",
+    ("cmax", "csv"):
+        "42020b35d844a99e455852c604c541ba95ed813b7213c1e910906b1db3c6de4f",
+    ("tau", "json"):
+        "53926f7052d493eee4448a688e0bce9f231451db51b037819a96edd8f0e983d7",
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(_SWEEP_DIGESTS), ids="-".join)
+def test_sweep_bytes_are_pinned(tmp_path, capsys, sweep):
+    name, fmt, *flags = sweep
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_SWEEP_CONFIGS[name]))
+    out = tmp_path / f"out.{fmt}"
+    assert main(["sweep", "--spec", str(config), "--format", fmt, "--out", str(out),
+                 *flags]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _SWEEP_DIGESTS[sweep]
