@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .correlations import CoefficientSet, SystemParams, compute_coefficients
+from .correlations import (CoefficientSet, SystemParams, _elementwise, _libm,
+                           compute_coefficients)
 from .errors import ConvergenceError, DomainError, each_or_alone
 from .evolution import (SAMPLES_PER_SCALE, XState, _time_scale, default_horizons,
                         prepare_initial, propagators, x_concurrence)
@@ -121,23 +123,43 @@ def concurrence_general(rho: np.ndarray) -> float:
 
 def generation_rate(coeffs: CoefficientSet) -> GenerationReport:
     """Initial growth rate of the concurrence from the separable '10' state:
-    rate = 4 sqrt(a2^2 + d^2) - 4 sqrt(a1^2 - b1^2)."""
+    rate = 4 sqrt(a2^2 + d^2) - 4 sqrt(a1^2 - b1^2); the one-element case of
+    `_generation_rate`."""
     return GenerationReport(_generation_rate(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.d))
 
 
-def _generation_rate(a1: float, a2: float, b1: float, d: float) -> float:
-    """The rate of `generation_rate` from plain floats; the one implementation
-    of the formula."""
+def _squares(a1: float, b1: float) -> tuple:
+    """(a1^2, b1^2, 1.0) by libm's pow, or, where a square leaves the float
+    range, the squares of a1 and b1 scaled down by s = max(|a1|, |b1|), and s."""
     try:
-        a1_sq, b1_sq, scale = a1 ** 2, b1 ** 2, 1.0
-    except OverflowError:  # squares past the float range: those of a1, b1 scaled down
+        return a1 ** 2, b1 ** 2, 1.0
+    except OverflowError:
         scale = max(abs(a1), abs(b1))
-        a1_sq, b1_sq = (a1 / scale) ** 2, (b1 / scale) ** 2
+        return (a1 / scale) ** 2, (b1 / scale) ** 2, scale
+
+
+def _generation_rate(a1, a2, b1, d):
+    """The rate of `generation_rate`, elementwise: an array over the
+    broadcast of the arguments, or a float when all four are floats; the one
+    implementation of the formula. DomainError for the first element whose
+    a1^2 - b1^2 is negative beyond roundoff."""
+    a1, a2, b1, d, scalar = _elementwise(a1, a2, b1, d)
+    # libm's pow and hypot: x * x and np.hypot differ in the last bit of some values
+    try:  # pow(x, 2) is x ** 2
+        a1_sq, b1_sq = (np.fromiter(map(pow, x.tolist(), repeat(2)), dtype=float, count=x.size)
+                        for x in (a1, b1))
+        scale = np.ones(a1.size)
+    except OverflowError:  # _squares of each element, as only they scale
+        a1_sq, b1_sq, scale = np.array(list(map(_squares, a1.tolist(), b1.tolist()))).T
     disc = a1_sq - b1_sq
-    if disc < -1e-12 * max(a1_sq, b1_sq, 1e-300):
+    bad = disc < -1e-12 * np.maximum(np.maximum(a1_sq, b1_sq), 1e-300)
+    if bad.any():
+        disc, scale = (float(x[np.argmax(bad)]) for x in (disc, scale))
         raise DomainError(f"a1^2 - b1^2 = {disc * scale * scale:.3e} < 0; "
                           "invalid coefficient set")
-    return 4.0 * math.hypot(a2, d) - 4.0 * scale * math.sqrt(max(disc, 0.0))
+    hypot = _libm(math.hypot, a2, d)
+    rate = 4.0 * hypot - 4.0 * scale * np.sqrt(np.maximum(disc, 0.0))
+    return float(rate[0]) if scalar else rate
 
 
 def k1_closed(tau: float, populations, coeffs: CoefficientSet) -> float:

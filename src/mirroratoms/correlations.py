@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Below accel*d the accelerated kernels switch to their inertial closed
@@ -93,18 +95,41 @@ class SpectralPair:
     g12: float
 
 
-def coth(x: float) -> float:
-    """Overflow-safe hyperbolic cotangent.
+def _elementwise(*args) -> tuple:
+    """The arguments, floats or 1-D arrays of one size, as float arrays of
+    that size, then whether every argument was a float (whose results are
+    then floats too)."""
+    arrays = [np.asarray(x, dtype=float) for x in args]
+    size = max([x.size for x in arrays if x.ndim], default=1)
+    return (*(np.full(size, x) if x.ndim == 0 else x for x in arrays),
+            all(x.ndim == 0 for x in arrays))
+
+
+def _libm(fn, *args: np.ndarray) -> np.ndarray:
+    """fn of `math` at each element of the 1-D arrays args. numpy's arcsinh,
+    exp, expm1 and hypot differ from libm's in the last bit of some values,
+    and the emitted bytes were fixed with libm's; numpy's sin, cos and sqrt
+    agree with it."""
+    return np.fromiter(map(fn, *(x.tolist() for x in args)), dtype=float,
+                       count=args[0].size)
+
+
+def coth(x):
+    """Overflow-safe hyperbolic cotangent, elementwise over an array or of
+    one float.
 
     For x > 0 uses coth(x) = 1 + 2*exp(-2x)/(1 - exp(-2x)), which saturates
-    cleanly to 1.0 for large x instead of overflowing exp(2x).
+    cleanly to 1.0 for large x instead of overflowing exp(2x); coth(-x) is
+    -coth(x).
     """
-    if x == 0.0:
+    t, scalar = _elementwise(x)
+    if (t == 0.0).any():
         raise DomainError("coth(0) is singular")
-    if x < 0.0:
-        return -coth(-x)
-    em = math.exp(-2.0 * x)
-    return 1.0 + 2.0 * em / (-math.expm1(-2.0 * x))
+    with np.errstate(all="ignore"):
+        two_x = -2.0 * np.abs(t)
+        value = 1.0 + 2.0 * _libm(math.exp, two_x) / -_libm(math.expm1, two_x)
+    value = np.where(t < 0.0, -value, value)
+    return float(value[0]) if scalar else value
 
 
 def kernel_f(omega: float, accel: float, d: float) -> float:
@@ -129,26 +154,44 @@ def kernel_h(omega: float, accel: float, d: float) -> float:
 
 
 def _kernel_pair(omega: float, accel: float, d: float) -> tuple:
-    """(kernel_f, kernel_h) at one distance, from one phase and one
-    denominator; the one implementation of both kernels."""
+    """(kernel_f, kernel_h) at one distance: the one-element case of `_kernels`."""
+    f, h = _kernels(*_elementwise(omega, accel, d)[:3])
+    return float(f[0]), float(h[0])
+
+
+def _kernels(omega: np.ndarray, accel: np.ndarray, d: np.ndarray) -> tuple:
+    """(kernel_f, kernel_h) elementwise over 1-D arrays of one shape, from one
+    phase and one denominator per element; the one implementation of both
+    kernels. DomainError names the first element out of the domain."""
     _check_kernel_args(omega, accel, d)
-    if accel * d < INERTIAL_SWITCH:
-        x = 2.0 * omega * d
-        return math.sin(x) / x, math.cos(x) / x
-    phase = (2.0 * omega / accel) * math.asinh(accel * d)
-    if phase == math.inf:  # accel*d or omega/accel past 1e305: the denominator
-        return 0.0, 0.0    # exceeds 1e299, and both kernels are 0 to double precision
-    denom = 2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)
-    return math.sin(phase) / denom, math.cos(phase) / denom
+    f, h = np.empty(d.size), np.empty(d.size)
+    with np.errstate(all="ignore"):
+        inertial = accel * d < INERTIAL_SWITCH
+        x = 2.0 * omega[inertial] * d[inertial]
+        f[inertial], h[inertial] = np.sin(x) / x, np.cos(x) / x
+        fast = ~inertial
+        om, a, dd = omega[fast], accel[fast], d[fast]
+        phase = (2.0 * om / a) * _libm(math.asinh, a * dd)
+        denom = 2.0 * om * dd * np.sqrt(a * a * dd * dd + 1.0)
+        # accel*d or omega/accel past 1e305: the denominator exceeds 1e299,
+        # and both kernels are 0 to double precision
+        lost = phase == math.inf
+        f[fast] = np.where(lost, 0.0, np.sin(phase) / denom)
+        h[fast] = np.where(lost, 0.0, np.cos(phase) / denom)
+    return f, h
 
 
 def _check_kernel_args(omega, accel, d):
-    if omega <= 0.0 or not math.isfinite(omega):
-        raise DomainError(f"omega must be > 0, got {omega}")
-    if d <= 0.0 or not math.isfinite(d):
-        raise DomainError(f"d must be > 0, got {d}")
-    if accel < 0.0 or not math.isfinite(accel):
-        raise DomainError(f"accel must be >= 0, got {accel}")
+    """DomainError for the first element whose omega, d or accel (checked in
+    that order) is out of the kernels' domain."""
+    checks = (("omega", "> 0", (omega > 0.0) & np.isfinite(omega), omega),
+              ("d", "> 0", (d > 0.0) & np.isfinite(d), d),
+              ("accel", ">= 0", (accel >= 0.0) & np.isfinite(accel), accel))
+    good = checks[0][2] & checks[1][2] & checks[2][2]
+    if not good.all():
+        i = int(np.argmin(good))
+        name, rule, _, x = next(check for check in checks if not check[2][i])
+        raise DomainError(f"{name} must be {rule}, got {x[i].item()}")
 
 
 def spectral_density(lam: float, params: SystemParams) -> SpectralPair:
@@ -166,13 +209,22 @@ def spectral_density(lam: float, params: SystemParams) -> SpectralPair:
         thermal = 2.0 if lam > 0.0 else 0.0
     else:
         thermal = coth(math.pi * lam / params.accel) + 1.0
-    alam = abs(lam)  # kernels are even in frequency
     pref = lam / (4.0 * math.pi) * thermal
-    f_z = kernel_f(alam, params.accel, params.z)
-    f_half = kernel_f(alam, params.accel, params.l / 2.0)
-    f_diag = kernel_f(alam, params.accel,
-                      math.sqrt(params.l * params.l / 4.0 + params.z * params.z))
-    return SpectralPair(g11=pref * (1.0 - f_z), g12=pref * (f_half - f_diag))
+    om, a, z, l, _ = _elementwise(abs(lam), params.accel, params.z, params.l)
+    f_half, f_diag, f_z = _distance_kernels(om, a, z, l)[0]  # kernels are even in lam
+    return SpectralPair(g11=pref * (1.0 - float(f_z[0])),
+                        g12=pref * float(f_half[0] - f_diag[0]))
+
+
+def _distance_kernels(om, a, z, l) -> tuple:
+    """The kernels (f, h) at the distances L/2, sqrt(L^2/4 + z^2) and z, as
+    (f_half, f_diag, f_z), (h_half, h_diag, h_z), from one `_kernels` call
+    over 1-D arrays of one shape."""
+    n = om.size
+    half, diag = l / 2.0, np.sqrt(l * l / 4.0 + z * z)
+    f, h = _kernels(np.concatenate([om] * 3), np.concatenate([a] * 3),
+                    np.concatenate([half, diag, z]))
+    return (f[:n], f[n:2 * n], f[2 * n:]), (h[:n], h[n:2 * n], h[2 * n:])
 
 
 def compute_coefficients(params: SystemParams) -> CoefficientSet:
@@ -182,23 +234,32 @@ def compute_coefficients(params: SystemParams) -> CoefficientSet:
     a2 = (1/4) coth(pi*omega/a) [f(omega, L/2) - f(omega, sqrt(L^2/4 + z^2))]
     b1, b2: same brackets without the thermal coth factor
     d  = (1/4) [h(omega, L/2) - h(omega, sqrt(L^2/4 + z^2))]
+
+    The one-element case of `_coefficients`.
     """
     return CoefficientSet(*_coefficients(params.omega, params.accel, params.z, params.l))
 
 
-def _coefficients(om: float, a: float, z: float, l: float) -> tuple:
-    """(a1, a2, b1, b2, d) of `compute_coefficients` from plain floats; the
+def _coefficients(om, a, z, l) -> tuple:
+    """(a1, a2, b1, b2, d) of `compute_coefficients`, elementwise: arrays over
+    the broadcast of the arguments, or floats when all four are floats; the
     one implementation of the five rates. Raises DomainError as
-    `_check_kernel_args` and `CoefficientSet` do."""
+    `_check_kernel_args` and `CoefficientSet` do, for the first element
+    that fails."""
+    om, a, z, l, scalar = _elementwise(om, a, z, l)
     quarter = 0.25
-    thermal = coth(math.pi * om / a) if a > 0.0 else 1.0
-    diag = math.sqrt(l * l / 4.0 + z * z)
-    f_half, h_half = _kernel_pair(om, a, l / 2.0)
-    f_diag, h_diag = _kernel_pair(om, a, diag)
-    bracket_self = 1.0 - _kernel_pair(om, a, z)[0]
-    bracket_cross = f_half - f_diag
-    d_cross = h_half - h_diag
-    values = (quarter * thermal * bracket_self, quarter * thermal * bracket_cross,
-              quarter * bracket_self, quarter * bracket_cross, quarter * d_cross)
-    _check_finite(values)
-    return values
+    thermal = np.ones(om.shape)
+    hot = a > 0.0
+    with np.errstate(all="ignore"):
+        thermal[hot] = coth(math.pi * om[hot] / a[hot])
+        (f_half, f_diag, f_z), (h_half, h_diag, _) = _distance_kernels(om, a, z, l)
+        bracket_self = 1.0 - f_z
+        bracket_cross = f_half - f_diag
+        d_cross = h_half - h_diag
+        values = (quarter * thermal * bracket_self, quarter * thermal * bracket_cross,
+                  quarter * bracket_self, quarter * bracket_cross, quarter * d_cross)
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        _check_finite([v[i] for v in values])
+    return tuple(float(v[0]) for v in values) if scalar else values

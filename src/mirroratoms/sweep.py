@@ -8,9 +8,12 @@ once with the full coefficient set and once with the coherent interatomic
 coupling d forced to zero (the "without interaction" curve).
 Rows are deterministic: ordered by grid point, with_D before without_D, and
 floats are serialized with 17 significant digits so emitted files are
-byte-stable and round-trippable. A result is its columns, filled from plain
-floats: by one loop over the grid for rate, coefficients and cmax, by one
-evolution per variant for tau, and by load_result from a checked file.
+byte-stable and round-trippable. A result is its columns: filled from array
+kernels over the whole grid for rate, coefficients and cmax, by one
+evolution per variant for tau, and by load_result from a checked file. The
+rows of a grid point share their axis value and a1..b2 objects, and the
+renderers format such shared cells once per point, for the two per-variant
+files of a figure panel together.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +155,8 @@ class SweepResult:
 
     spec: SweepSpec
     columns: Columns
+    # (whole, row mask) of a part that split_variants cut from a whole
+    _whole: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "columns", Columns(*map(tuple, self.columns)))
@@ -172,51 +176,96 @@ class SweepResult:
             spec = copy.copy(self.spec)
             object.__setattr__(spec, "variants", (variant,))
             keep = [v == variant for v in self.columns.variant]
-            parts.append(SweepResult(spec, [compress(col, keep) for col in self.columns]))
+            part = SweepResult(spec, [compress(col, keep) for col in self.columns])
+            object.__setattr__(part, "_whole", (self, keep))
+            parts.append(part)
         return parts
 
+    @cached_property
+    def _rendered(self) -> dict:
+        """The grid texts and row lines of this result per format, filled
+        when its parts are rendered."""
+        return {}
 
-def _row(g: float, variant: str, coeffs: tuple, found, value=None) -> tuple:
+
+def _row(g: float, variant: str, coeffs: tuple, found) -> tuple:
     """The row of (g, variant) with `coeffs` (or five Nones): if `found` is
-    an error, no value and its marker, else value(found), or `found` itself."""
+    an error, no value and its marker, else `found` as the value."""
     if isinstance(found, Exception):
         return (g, variant, None, *coeffs, str(found))
-    return (g, variant, found if value is None else value(found), *coeffs, None)
+    return (g, variant, found, *coeffs, None)
 
 
-def _point_rows(spec: SweepSpec) -> list:
-    """The rows of a rate, coefficients or cmax sweep from plain floats: the
-    coefficients once per grid point (SweepSpec has checked what SystemParams
-    would), then the quantity per variant, with d = 0 for without_D; the
-    maxima of a cmax sweep come from one max_concurrences call. A failure of
-    the coefficients marks every variant's row, one of the quantity its own."""
-    dims = dict(spec.fixed)
-    rate, cmax = spec.quantity == "rate", spec.quantity == "cmax"
-    rows, searched = [], []
-    for g in spec.grid:
-        dims[spec.axis] = g
-        try:
-            a1, a2, b1, b2, d = _coefficients(1.0, dims["a_over_omega"],
-                                              dims["z_omega"], dims["l_omega"])
-        except NUMERICAL_ERRORS as exc:
-            rows.extend(_row(g, v, (None,) * 5, exc) for v in spec.variants)
-            continue
-        for variant in spec.variants:
-            dv = d if variant == "with_D" else 0.0
-            value = error = None
-            if cmax:
-                searched.append(len(rows))
-            elif rate:
-                try:
-                    value = _generation_rate(a1, a2, b1, dv)
-                except NUMERICAL_ERRORS as exc:
-                    error = str(exc)
-            rows.append((g, variant, value, a1, a2, b1, b2, dv, error))
-    if searched:
-        maxima = max_concurrences(CoefficientSet(*rows[i][3:8]) for i in searched)
-        for i, found in zip(searched, maxima):
-            rows[i] = _row(*rows[i][:2], rows[i][3:8], found, itemgetter(1))
-    return rows
+def _filled(out: np.ndarray, kernel, size: int) -> list:
+    """Each point's error, or None, of `kernel` over index lists of the
+    points 0..size-1, whose results it writes to out[..., points];
+    `each_or_alone` runs the points of a failing batch alone."""
+    def fill(points):
+        out[..., points] = kernel(points)
+        return [None] * len(points)
+    return each_or_alone(fill, list(range(size)))
+
+
+def _masked(values: list, errors: list) -> list:
+    """values with None where errors holds an error."""
+    if not any(errors):
+        return values
+    return [None if e else x for x, e in zip(values, errors)]
+
+
+def _interleaved(per_variant: list) -> list:
+    """One column, grid point major, from one list per variant."""
+    if len(per_variant) == 1:
+        return per_variant[0]
+    column = [None] * sum(map(len, per_variant))
+    for j, cells in enumerate(per_variant):
+        column[j::len(per_variant)] = cells
+    return column
+
+
+def _point_rows(spec: SweepSpec) -> Columns:
+    """The columns of a rate, coefficients or cmax sweep: the coefficients
+    of every grid point from one `_coefficients` call (SweepSpec has checked
+    what SystemParams would), then the quantity of every row, with d = 0
+    for without_D: the rates from one `_generation_rate` call per variant,
+    the maxima from one `max_concurrences` call. A failure of the
+    coefficients marks every variant's row of its point, one of the
+    quantity its own row. The rows of a point hold the same objects for
+    axis_value and a1..b2."""
+    n, variants, grid = len(spec.grid), spec.variants, np.array(spec.grid)
+
+    def coefficients(points):
+        dims = {**spec.fixed, spec.axis: grid[points]}
+        return _coefficients(1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
+
+    table = np.full((5, n), np.nan)  # NaN where the coefficients fail
+    failed = _filled(table, coefficients, n)
+    a1, a2, b1, b2, d = (_masked(column, failed) for column in table.tolist())
+    ds = {"with_D": d, "without_D": _masked([0.0] * n, failed)}
+    errors = {v: failed for v in variants}
+    values = {v: [None] * n for v in variants}
+    if spec.quantity == "rate":
+        for v in variants:
+            rate, dv = np.empty(n), table[4] if v == "with_D" else np.zeros(n)
+            found = _filled(rate, lambda p: _generation_rate(*table[:3, p], dv[p]), n)
+            errors[v] = [e or f for e, f in zip(failed, found)]
+            values[v] = _masked(rate.tolist(), errors[v])
+    elif spec.quantity == "cmax":
+        ok = [i for i, e in enumerate(failed) if e is None]
+        maxima = max_concurrences(CoefficientSet(a1[i], a2[i], b1[i], b2[i], ds[v][i])
+                                  for i in ok for v in variants)
+        for j, v in enumerate(variants):
+            searched = iter(maxima[j::len(variants)])
+            found = [e or next(searched) for e in failed]
+            errors[v] = [f if isinstance(f, Exception) else None for f in found]
+            values[v] = [None if e else f[1] for f, e in zip(found, errors[v])]
+    return Columns(_interleaved([list(spec.grid)] * len(variants)),
+                   _interleaved([[v] * n for v in variants]),
+                   _interleaved([values[v] for v in variants]),
+                   *(_interleaved([column] * len(variants)) for column in (a1, a2, b1, b2)),
+                   _interleaved([ds[v] for v in variants]),
+                   _interleaved([[None if e is None else str(e) for e in errors[v]]
+                                 for v in variants]))
 
 
 def _tau_rows(spec: SweepSpec) -> list:
@@ -243,8 +292,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
-    rows = _tau_rows(spec) if spec.axis == "tau" else _point_rows(spec)
-    return SweepResult(spec, zip(*rows))
+    return SweepResult(spec, zip(*_tau_rows(spec)) if spec.axis == "tau" else _point_rows(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +365,11 @@ def _fnum(x) -> str:
     return "%.17g" % x  # format(float(x), ".17g") for every int and float x
 
 
-def _lines(result: SweepResult, template: str, line_of) -> list:
-    """One line per row of the result: a complete row (a value,
-    coefficients, no error and a variant that needs no quoting) through
-    `template` from its first eight values, any other through `line_of`."""
-    return [template % row[:8] if (row[8] is None and row[2] is not None
-                                   and row[3] is not None and row[1] in VARIANTS)
-            else line_of(row) for row in zip(*result.columns)]
-
-
-# a complete row has a float in every column but the variant, and no error
-_COMPLETE_CELL = {"variant": "%s", "error_marker": ""}
-_CSV_ROW = ",".join(_COMPLETE_CELL.get(col, "%.17g") for col in CSV_COLUMNS)
-
-
-def _csv_line(row: tuple) -> str:
-    """A row cell by cell; a cell holding a comma, a quote or a newline is quoted."""
-    axis_value, variant, *numbers, error = row
-    cells = [_fnum(axis_value), variant,
-             *("" if x is None else _fnum(x) for x in numbers), error or ""]
-    return ",".join('"' + cell.replace('"', '""') + '"'
-                    if ("," in cell or '"' in cell or "\n" in cell) else cell for cell in cells)
-
-
-def render_csv(result: SweepResult) -> str:
-    return "\n".join([",".join(CSV_COLUMNS), *_lines(result, _CSV_ROW, _csv_line)]) + "\n"
+def _csv_cell(cell: str) -> str:
+    """A cell holding a comma, a quote or a newline, quoted."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 _jstr = json.dumps  # a string as JSON
@@ -351,37 +379,104 @@ def _jnum(x) -> str:
     return "null" if x is None else _fnum(x)
 
 
-_JSON_CELLS = "    {" + ", ".join(f'"{col}": %s' for col in CSV_COLUMNS) + "}"
-_JSON_ROW = _JSON_CELLS % ("%.17g", '"%s"', *["%.17g"] * 6, "null")
+class _Format:
+    """How a format writes a row. `cells` takes the texts of the axis value,
+    the variant, the value, a1..b2 together, d and the error marker;
+    `block` takes those of a1..b2. `row` and `numbers` are the same
+    templates with the numbers formatted in: `row` for a complete row (a
+    value and d, no error marker, a variant that needs no quoting) from the
+    axis text, the variant, the value, the a1..b2 text and d; `numbers` for
+    a1..b2 when all four are numbers."""
+
+    def __init__(self, cells: str, block: str, null: str, text, no_error: str):
+        self.cells, self.block, self.null, self.text, self.no_error = \
+            cells, block, null, text, no_error
+        self.row = cells % ("%s", text("%s"), "%.17g", "%s", "%.17g", no_error)
+        self.numbers = block % (("%.17g",) * 4)
+
+    def number(self, x) -> str:
+        return self.null if x is None else _fnum(x)
 
 
-def _json_line(row: tuple) -> str:
-    axis_value, variant, *numbers, error = row
-    return _JSON_CELLS % (_fnum(axis_value), _jstr(variant), *map(_jnum, numbers),
-                          "null" if error is None else _jstr(error))
+_JSON_KEYS = [f'"{col}": %s' for col in CSV_COLUMNS]
+_CSV = _Format(",".join(["%s"] * 6), ",".join(["%s"] * 4), "", _csv_cell, "")
+_JSON = _Format("    {" + ", ".join([*_JSON_KEYS[:3], "%s", *_JSON_KEYS[7:]]) + "}",
+                ", ".join(_JSON_KEYS[3:7]), "null", _jstr, "null")
+
+
+_UNSEEN = object()  # what no cell holds
+
+
+def _row_lines(result: SweepResult, grid_texts: list, form: _Format) -> list:
+    """One line per row of the result. Rows in a row that hold the same
+    axis_value object share its text, and those that hold the same a1..b2
+    objects share one text of all four: a grid point's rows from run_sweep
+    format them once. An axis_value that is the grid's next value takes its
+    text from grid_texts."""
+    grid, k, size = result.spec.grid, 0, len(result.spec.grid)
+    row, numbers, lines = form.row, form.numbers, []
+    x_seen = a1_seen = a2_seen = b1_seen = b2_seen = _UNSEEN
+    for x, variant, value, a1, a2, b1, b2, d, error in zip(*result.columns):
+        if x is not x_seen:
+            x_seen = x
+            if k < size and x is grid[k]:
+                x_text, k = grid_texts[k], k + 1
+            else:
+                x_text = _fnum(x)
+        if a1 is not a1_seen or a2 is not a2_seen or b1 is not b1_seen or b2 is not b2_seen:
+            a1_seen, a2_seen, b1_seen, b2_seen = block = a1, a2, b1, b2
+            a_text = (form.block % tuple(map(form.number, block)) if None in block
+                      else numbers % block)
+        if error is None and value is not None and d is not None and variant in VARIANTS:
+            lines.append(row % (x_text, variant, value, a_text, d))
+        else:
+            lines.append(form.cells % (
+                x_text, form.text(variant), form.number(value), a_text, form.number(d),
+                form.no_error if error is None else form.text(error)))
+    return lines
+
+
+def _texts(result: SweepResult, form: _Format) -> tuple:
+    """The texts of the result's grid values, and its row lines. A result
+    split_variants cut from a whole takes its lines from the whole's,
+    which are formatted once for all its parts."""
+    if result._whole is not None:
+        whole, keep = result._whole
+        if form not in whole._rendered:
+            whole._rendered[form] = _texts(whole, form)
+        grid_texts, lines = whole._rendered[form]
+        return grid_texts, list(compress(lines, keep))
+    grid = result.spec.grid
+    grid_texts = ("\n".join(["%.17g"] * len(grid)) % grid).split("\n")
+    return grid_texts, _row_lines(result, grid_texts, form)
+
+
+def render_csv(result: SweepResult) -> str:
+    return "\n".join([",".join(CSV_COLUMNS), *_texts(result, _CSV)[1]]) + "\n"
 
 
 def render_json(result: SweepResult) -> str:
     """Deterministic JSON with a metadata header; floats carry 17 significant
     digits so emit -> parse -> emit is byte-identical."""
     spec = result.spec.to_dict()
+    grid_texts, lines = _texts(result, _JSON)
     fixed = ", ".join(f"{_jstr(k)}: {_jnum(v)}" for k, v in spec["fixed"].items())
-    grid = ", ".join(map(_fnum, spec["grid"]))
     variants = ", ".join(_jstr(v) for v in spec["variants"])
     units = ", ".join(f"{_jstr(k)}: {_jstr(v)}" for k, v in sorted(_UNITS.items()))
     out = [
         "{",
         '  "metadata": {',
-        f'    "spec": {{"axis": {_jstr(spec["axis"])}, "grid": [{grid}], '
+        f'    "spec": {{"axis": {_jstr(spec["axis"])}, "grid": [{", ".join(grid_texts)}], '
         f'"fixed": {{{fixed}}}, "quantity": {_jstr(spec["quantity"])}, '
         f'"variants": [{variants}]}},',
         f'    "version": {_jstr(__version__)},',
         f'    "units": {{{units}}}',
         "  },",
         '  "rows": [',
+        ",\n".join(lines),
+        "  ]",
+        "}",
     ]
-    out.append(",\n".join(_lines(result, _JSON_ROW, _json_line)))
-    out.extend(["  ]", "}"])
     return "\n".join(out) + "\n"
 
 

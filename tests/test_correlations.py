@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from mirroratoms import (CoefficientSet, DomainError, SystemParams, compute_coefficients,
                          coth, kernel_f, kernel_h, spectral_density)
 from mirroratoms.concurrence import _generation_rate, generation_rate
-from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernel_pair
+from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernel_pair, _kernels
+from mirroratoms.sweep import preset
 
+import float_reference as float_ref
 import reference as ref
 
 
@@ -229,6 +231,147 @@ def test_float_level_coefficients_raise_the_wrapper_errors():
         with pytest.raises(DomainError) as wrapped:
             compute_coefficients(SystemParams.from_dimensionless(z, 1.0, l))
         assert str(bare.value) == str(wrapped.value)
+
+
+# --- the array kernels against the plain-float reference ---------------------
+
+def _reference(fn, *args):
+    """fn(*args), or the DomainError it raises."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return exc
+
+
+def _assert_elementwise(kernel, reference, columns):
+    """`kernel` over the columns (1-D arrays of one size) against `reference`
+    at each element: a batch holding a failing element raises, the failing
+    element alone raises the reference's message, and the other elements
+    together give the reference's bits."""
+    expected = [_reference(reference, *args) for args in zip(*(c.tolist() for c in columns))]
+    good = np.array([not isinstance(e, DomainError) for e in expected], dtype=bool)
+    if not good.all():
+        with pytest.raises(DomainError):
+            kernel(*columns)
+    for i in np.flatnonzero(~good):
+        with pytest.raises(DomainError) as alone:
+            kernel(*(c[i:i + 1] for c in columns))
+        assert str(alone.value) == str(expected[i])
+    got = kernel(*(c[good] for c in columns))
+    want = [e for e, ok in zip(expected, good) if ok]
+    if isinstance(got, np.ndarray):  # one column, else a tuple of them
+        got, want = [got], [(e,) for e in want]
+    assert [_bits(*column) for column in got] == \
+        [_bits(*(e[k] for e in want)) for k in range(len(got))]
+
+
+def _assert_array_kernels_match_the_reference(points):
+    """_kernels at the three distances of each point, _coefficients, and
+    _generation_rate of both variants of every point, bit for bit."""
+    a, z, l = (np.array(c, dtype=float) for c in zip(*points))
+    ones = np.ones(a.size)
+    with np.errstate(all="ignore"):
+        distances = np.concatenate([l / 2.0, np.sqrt(l * l / 4.0 + z * z), z])
+    _assert_elementwise(_kernels, float_ref.kernel_pair,
+                        (np.tile(ones, 3), np.tile(a, 3), distances))
+    _assert_elementwise(lambda *c: _coefficients(1.0, *c),
+                        lambda *c: float_ref.coefficients(1.0, *c), (a, z, l))
+    coeffs = [_reference(float_ref.coefficients, 1.0, *p) for p in points]
+    rows = np.array([c for c in coeffs if not isinstance(c, DomainError)]).reshape(-1, 5)
+    for d in (rows[:, 4], np.zeros(len(rows))):
+        _assert_elementwise(_generation_rate, float_ref.generation_rate,
+                            (rows[:, 0], rows[:, 1], rows[:, 2], d))
+
+
+_LOG = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e) | \
+    st.floats(-2.0, 4.0).map(lambda e: 10.0 ** e)  # and the figures' decades
+
+
+@st.composite
+def _grid_points(draw):
+    """(a/omega, omega*z, omega*L) on a log grid: a/omega = 0, anywhere on
+    the grid or in the figures' range, or with a*d within a factor 2 of
+    INERTIAL_SWITCH for one of the three distances; products a*d past the
+    float range overflow the phase."""
+    z, l = draw(_LOG), draw(_LOG)
+    kind = draw(st.sampled_from(["inertial", "log", "figures", "switch"]))
+    if kind == "inertial":
+        return 0.0, z, l
+    if kind != "switch":
+        return draw(_LOG if kind == "log" else st.floats(0.02, 3.0)), z, l
+    d = draw(st.sampled_from([z, l / 2.0, math.sqrt(l * l / 4.0 + z * z)]))
+    a = draw(st.floats(0.5, 2.0)) * INERTIAL_SWITCH / d if 0.0 < d < math.inf else 1.0
+    return (a if math.isfinite(a) else 1.0), z, l
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=st.lists(_grid_points(), min_size=1, max_size=12))
+def test_array_kernels_are_bitwise_the_float_reference(points):
+    _assert_array_kernels_match_the_reference(points)
+
+
+def test_array_kernels_are_bitwise_the_float_reference_on_the_extreme_grid():
+    lengths, accels = (1e-300, 1e-8, 0.4, 1e150, 1e300), (0.0, 1.0, 1e160, 1e300)
+    _assert_array_kernels_match_the_reference(
+        [(a, z, l) for a in accels for z in lengths for l in lengths])
+
+
+def _preset_points(figures=range(2, 11)) -> list:
+    """The (a/omega, omega*z, omega*L) of every grid point of the figure
+    presets at their default density."""
+    points = []
+    for figure in figures:
+        for spec in preset(figure):
+            for g in spec.grid if spec.axis != "tau" else (None,):
+                dims = {**spec.fixed, spec.axis: g}
+                points.append((dims["a_over_omega"], dims["z_omega"], dims["l_omega"]))
+    return points
+
+
+def test_array_kernels_are_bitwise_the_float_reference_on_the_preset_grids():
+    _assert_array_kernels_match_the_reference(_preset_points())
+
+
+_MAGNITUDE = st.floats(-320.0, 307.0).map(lambda e: 10.0 ** e) | st.just(0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(_MAGNITUDE, st.floats(0.0, 1.2), _MAGNITUDE, _MAGNITUDE,
+                               st.booleans()), min_size=1, max_size=12))
+def test_array_rate_is_bitwise_the_float_reference(rows):
+    # b1 = ratio * a1: ratios above 1 make a1^2 - b1^2 negative, and
+    # magnitudes past 1e154 overflow the squares
+    a1, b1 = (np.array(c) for c in zip(*[(x, r * x) for x, r, *_ in rows]))
+    a2, d = (np.array(c) * np.where([row[4] for row in rows], -1.0, 1.0)
+             for c in zip(*[row[2:4] for row in rows]))
+    _assert_elementwise(_generation_rate, float_ref.generation_rate, (a1, a2, b1, d))
+
+
+def test_numpy_sin_cos_sqrt_are_libm_on_the_preset_grids():
+    """The kernels take sin, cos and sqrt from numpy and asinh, exp, expm1,
+    pow and hypot from libm; the emitted bytes hold while numpy's three
+    agree with libm's bit for bit on the arguments the figure presets
+    produce, so a numpy or libm update that breaks this fails here by name
+    instead of as a digest mismatch."""
+    arguments = {"sin": [], "cos": [], "sqrt": []}
+    for a, z, l in _preset_points():
+        arguments["sqrt"].append(l * l / 4.0 + z * z)
+        for d in (l / 2.0, math.sqrt(l * l / 4.0 + z * z), z):
+            if a * d < INERTIAL_SWITCH:
+                phase = 2.0 * d
+            else:
+                phase = (2.0 / a) * math.asinh(a * d)
+                arguments["sqrt"].append(a * a * d * d + 1.0)
+            arguments["sin"].append(phase)
+            arguments["cos"].append(phase)
+        a1, _, b1, _, _ = float_ref.coefficients(1.0, a, z, l)
+        arguments["sqrt"].append(max(a1 ** 2 - b1 ** 2, 0.0))
+    for name, xs in arguments.items():
+        ours = getattr(np, name)(np.array(xs)).tolist()
+        differ = sum(float.hex(x) != float.hex(y)
+                     for x, y in zip(ours, map(getattr(math, name), xs)))
+        assert differ == 0, \
+            f"numpy's {name} differs from libm's at {differ} of {len(xs)} preset arguments"
 
 
 _RATE = st.floats(allow_nan=False, allow_infinity=False)

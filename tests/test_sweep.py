@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import float_reference as ref
 import mirroratoms.concurrence as concurrence_mod
 import mirroratoms.sweep as sweep_mod
 from mirroratoms import (CoefficientSet, DomainError, InvariantError, SweepResult,
@@ -218,7 +219,8 @@ def test_coefficients_computed_once_per_grid_point(monkeypatch, quantity):
                      fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity=quantity)
     calls = _count_coefficient_calls(monkeypatch)
     result = run_sweep(spec)
-    assert len(calls) == len(spec.grid)
+    # one call over the whole grid, whose omega*z is the third argument
+    assert [list(np.atleast_1d(args[2])) for args in calls] == [list(spec.grid)]
     assert len(result.rows) == 2 * len(spec.grid)
     assert all(r.error is None for r in result.rows)
 
@@ -238,13 +240,17 @@ def test_coefficient_failure_marks_every_variant(monkeypatch):
         ("without_D", None, None, "forced coefficient failure")]
 
 
-def test_row_errors_are_local(monkeypatch):
-    real = sweep_mod._generation_rate
-
+def _failing_where_d_is_zero(rate, message):
+    """`rate`, raising DomainError(message) for a batch that holds a d of 0."""
     def flaky(a1, a2, b1, d):
-        if d == 0.0:
-            raise DomainError("forced failure")
-        return real(a1, a2, b1, d)
+        if np.any(np.asarray(d) == 0.0):
+            raise DomainError(message)
+        return rate(a1, a2, b1, d)
+    return flaky
+
+
+def test_row_errors_are_local(monkeypatch):
+    flaky = _failing_where_d_is_zero(sweep_mod._generation_rate, "forced failure")
 
     monkeypatch.setattr(sweep_mod, "_generation_rate", flaky)
     result = run_sweep(rate_spec())
@@ -255,15 +261,15 @@ def test_row_errors_are_local(monkeypatch):
     assert bad.coeffs is not None  # coefficients were computed before the failure
 
 
-def _per_point_rows(spec):
-    """A rate, coefficients or cmax sweep row by row from the objects its
-    columns stand in for: SystemParams, compute_coefficients, then
-    generation_rate or max_concurrence."""
+def _per_point_rows(spec, rate=ref.generation_rate):
+    """A rate, coefficients or cmax sweep row by row: the coefficients and the
+    rate from the plain-float reference, the maximum from max_concurrence."""
     rows = []
     for g in spec.grid:
+        dims = {**spec.fixed, spec.axis: g}
         try:
-            params = SystemParams.from_dimensionless(**{**spec.fixed, spec.axis: g})
-            full = compute_coefficients(params)
+            full = CoefficientSet(*ref.coefficients(
+                1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"]))
         except DomainError as exc:
             rows.extend(SweepRow(g, v, None, None, str(exc)) for v in spec.variants)
             continue
@@ -272,9 +278,9 @@ def _per_point_rows(spec):
             value = None
             try:
                 if spec.quantity == "rate":
-                    value = generation_rate(coeffs).rate
+                    value = rate(coeffs.a1, coeffs.a2, coeffs.b1, coeffs.d)
                 elif spec.quantity == "cmax":
-                    value = concurrence_mod.max_concurrence(params, coeffs=coeffs)[1]
+                    value = concurrence_mod.max_concurrence(None, coeffs=coeffs)[1]
             except DomainError as exc:
                 rows.append(SweepRow(g, variant, None, coeffs, str(exc)))
             else:
@@ -301,19 +307,14 @@ _COLUMNAR_SPECS = [
 @pytest.mark.parametrize("axis, grid, fixed, failing_point", _COLUMNAR_SPECS)
 def test_columns_match_per_point_rows(monkeypatch, tmp_path, axis, grid, fixed,
                                       failing_point, failing_rate, quantity, variants):
-    if failing_rate:  # the rate of without_D fails, through both paths
-        real = concurrence_mod._generation_rate
-
-        def flaky(a1, a2, b1, d):
-            if d == 0.0:
-                raise DomainError("forced rate failure")
-            return real(a1, a2, b1, d)
-
-        monkeypatch.setattr(concurrence_mod, "_generation_rate", flaky)
-        monkeypatch.setattr(sweep_mod, "_generation_rate", flaky)
+    rate = ref.generation_rate
+    if failing_rate:  # the rate of without_D fails, in the sweep and the reference
+        rate = _failing_where_d_is_zero(rate, "forced rate failure")
+        monkeypatch.setattr(sweep_mod, "_generation_rate", _failing_where_d_is_zero(
+            sweep_mod._generation_rate, "forced rate failure"))
     spec = SweepSpec(axis=axis, grid=grid, fixed=fixed, quantity=quantity,
                      variants=variants)
-    result, expected = run_sweep(spec), _per_point_rows(spec)
+    result, expected = run_sweep(spec), _per_point_rows(spec, rate)
     assert result.rows == expected
     assert any(r.error is not None for r in expected) == \
         (failing_point or failing_rate and quantity == "rate")
@@ -633,6 +634,60 @@ def emitted_results(draw):
 def test_row_templates_match_cell_by_cell_rendering(result):
     assert render_csv(result) == _csv_by_cell(result)
     assert render_json(result) == _json_by_cell(result)
+
+
+def _twin(x):
+    """x as a distinct float object of the same value and sign."""
+    return float(repr(x))
+
+
+_SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def shared_cell_results(draw):
+    """Results whose rows share cell objects as run_sweep's rows do, next to
+    cells that only look shared: equal values as distinct objects, 0.0
+    against -0.0, a1..b2 that differ between the variants of a point, and
+    error markers that need quoting."""
+    values = st.none() | _FINITE | _SIGNED_ZERO
+    grid = sorted({abs(g): g for g in draw(st.lists(
+        st.floats(0.0, 1e300) | _SIGNED_ZERO, min_size=1, max_size=4))}.values())
+    spec = SweepSpec(axis="tau", grid=grid, quantity="concurrence_t",
+                     fixed={"z_omega": 0.4, "a_over_omega": 1.0, "l_omega": 0.3},
+                     variants=draw(st.sampled_from([VARIANTS, ("with_D",), ("without_D",)])))
+    def like(x):  # x itself, or a cell that only looks like it
+        return draw(st.sampled_from([x, x, _twin(x), -x]))
+
+    cells = []
+    for g in grid:
+        x = like(g)
+        block = draw(st.none() | st.lists(_SIGNED_ZERO | _FINITE, min_size=4, max_size=4))
+        for variant in draw(st.sampled_from([spec.variants, (*spec.variants, 'odd,"v"')])):
+            own = None if block is None else list(block)
+            if own is not None:  # at most one cell changed, the others shared
+                k = draw(st.integers(0, 4))
+                own[k:k + 1] = [like(c) for c in own[k:k + 1]]
+            d = None if own is None else draw(_FINITE | _SIGNED_ZERO)
+            cells.append((like(x), variant, draw(values), *(own or [None] * 4), d,
+                          draw(st.none() | _ERROR)))
+    return SweepResult(spec, list(zip(*cells)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(result=shared_cell_results())
+def test_shared_cell_texts_never_leak_between_unequal_cells(result):
+    assert render_json(result) == _json_by_cell(result)
+    assert render_csv(result) == _csv_by_cell(result)
+    # the parts of split_variants take their lines from the whole's, rendered
+    # once per format, whichever format comes first
+    twin = SweepResult(result.spec, result.columns)
+    for whole, formats in ((result, "json csv"), (twin, "csv json")):
+        for part in whole.split_variants():
+            for fmt in formats.split():
+                render, by_cell = {"csv": (render_csv, _csv_by_cell),
+                                   "json": (render_json, _json_by_cell)}[fmt]
+                assert render(part) == by_cell(part)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
