@@ -246,7 +246,8 @@ def _point_rows(spec: SweepSpec) -> Columns:
     values = {v: [None] * n for v in variants}
     if spec.quantity == "rate":
         for v in variants:
-            rate, dv = np.empty(n), table[4] if v == "with_D" else np.zeros(n)
+            rate = np.empty(n)
+            dv = table[4] if v == "with_D" else np.zeros(n)
             found = _filled(rate, lambda p: _generation_rate(*table[:3, p], dv[p]), n)
             errors[v] = [e or f for e, f in zip(failed, found)]
             values[v] = _masked(rate.tolist(), errors[v])
@@ -389,8 +390,8 @@ class _Format:
     a1..b2 when all four are numbers."""
 
     def __init__(self, cells: str, block: str, null: str, text, no_error: str):
-        self.cells, self.block, self.null, self.text, self.no_error = \
-            cells, block, null, text, no_error
+        self.cells, self.block, self.null = cells, block, null
+        self.text, self.no_error = text, no_error
         self.row = cells % ("%s", text("%s"), "%.17g", "%s", "%.17g", no_error)
         self.numbers = block % (("%.17g",) * 4)
 
