@@ -155,7 +155,8 @@ class SweepResult:
 
     spec: SweepSpec
     columns: Columns
-    # (whole, row mask) of a part that split_variants cut from a whole
+    # for a part that split_variants cut from a whole: (whole, row mask, the
+    # whole's texts per format, which the parts share)
     _whole: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,21 +172,15 @@ class SweepResult:
         """One result per variant of the spec, in its order, with the rows of
         that variant and the spec restricted to it (a copy: the grid was
         validated once)."""
-        parts = []
+        parts, texts = [], {}
         for variant in self.spec.variants:
             spec = copy.copy(self.spec)
             object.__setattr__(spec, "variants", (variant,))
             keep = [v == variant for v in self.columns.variant]
             part = SweepResult(spec, [compress(col, keep) for col in self.columns])
-            object.__setattr__(part, "_whole", (self, keep))
+            object.__setattr__(part, "_whole", (self, keep, texts))
             parts.append(part)
         return parts
-
-    @cached_property
-    def _rendered(self) -> dict:
-        """The grid texts and row lines of this result per format, filled
-        when its parts are rendered."""
-        return {}
 
 
 def _row(g: float, variant: str, coeffs: tuple, found) -> tuple:
@@ -442,10 +437,10 @@ def _texts(result: SweepResult, form: _Format) -> tuple:
     split_variants cut from a whole takes its lines from the whole's,
     which are formatted once for all its parts."""
     if result._whole is not None:
-        whole, keep = result._whole
-        if form not in whole._rendered:
-            whole._rendered[form] = _texts(whole, form)
-        grid_texts, lines = whole._rendered[form]
+        whole, keep, texts = result._whole
+        if form not in texts:
+            texts[form] = _texts(whole, form)
+        grid_texts, lines = texts[form]
         return grid_texts, list(compress(lines, keep))
     grid = result.spec.grid
     grid_texts = ("\n".join(["%.17g"] * len(grid)) % grid).split("\n")
