@@ -251,7 +251,6 @@ def _failing_where_d_is_zero(rate, message):
 
 def test_row_errors_are_local(monkeypatch):
     flaky = _failing_where_d_is_zero(sweep_mod._generation_rate, "forced failure")
-
     monkeypatch.setattr(sweep_mod, "_generation_rate", flaky)
     result = run_sweep(rate_spec())
     calls = [(r.variant, r.error is None) for r in result.rows]
@@ -656,6 +655,7 @@ def shared_cell_results(draw):
     spec = SweepSpec(axis="tau", grid=grid, quantity="concurrence_t",
                      fixed={"z_omega": 0.4, "a_over_omega": 1.0, "l_omega": 0.3},
                      variants=draw(st.sampled_from([VARIANTS, ("with_D",), ("without_D",)])))
+
     def like(x):  # x itself, or a cell that only looks like it
         return draw(st.sampled_from([x, x, _twin(x), -x]))
 
