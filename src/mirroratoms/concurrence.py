@@ -3,7 +3,7 @@ maximum of concurrence over an evolution.
 
 For X-form states the concurrence reduces to two closed-form candidates
 (k1 from the single-excitation block, k2 from the ground/doubly-excited
-block); a general 4x4 spin-flip construction is kept as a validation oracle.
+block).
 """
 
 from __future__ import annotations
@@ -32,23 +32,6 @@ _CHUNK_SAMPLES = 2 ** 15
 _SECTIONS = 64
 _MAX_ROUNDS = 32  # the sectioning reaches its width floor within 12 rounds
 TOL_RANGE = (1e-10, 1e-4)  # refinement tolerances max_concurrence accepts
-
-# coupled-basis kets (columns) written in the product basis |00>,|01>,|10>,|11>
-_SQ = 1.0 / math.sqrt(2.0)
-_COUPLED_TO_PRODUCT = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, -_SQ, _SQ, 0.0],
-    [0.0, _SQ, _SQ, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-])
-
-_SPIN_FLIP = np.array([
-    [0.0, 0.0, 0.0, -1.0],
-    [0.0, 0.0, 1.0, 0.0],
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-])
-
 
 class ConcurrenceReport:
     """Concurrence candidates k1, k2 and the value max{0, k1, k2} in [0, 1]."""
@@ -84,41 +67,6 @@ def concurrence_x(state: XState) -> ConcurrenceReport:
     k1, k2, value = x_concurrence(state.p_gg, state.p_ee, state.p_aa, state.p_ss,
                                   state.c_as, state.c_ge, state.tol)
     return ConcurrenceReport(float(k1), float(k2), float(value))
-
-
-def to_product_matrix(state: XState) -> np.ndarray:
-    """X state as a full 4x4 density matrix in the product basis |00>,|01>,|10>,|11>."""
-    rho_c = np.array([
-        [state.p_gg, 0.0, 0.0, state.c_ge],
-        [0.0, state.p_aa, state.c_as, 0.0],
-        [0.0, np.conj(state.c_as), state.p_ss, 0.0],
-        [np.conj(state.c_ge), 0.0, 0.0, state.p_ee],
-    ], dtype=complex)
-    u = _COUPLED_TO_PRODUCT
-    return u @ rho_c @ u.T
-
-
-def concurrence_general(rho: np.ndarray) -> float:
-    """Spin-flip concurrence of an arbitrary two-qubit density matrix
-    (product basis): max{0, l1 - l2 - l3 - l4} with l_i the decreasing
-    square roots of the eigenvalues of rho * (sy x sy) rho^* (sy x sy)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DomainError("density matrix must be 4x4")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise DomainError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise DomainError("density matrix must have unit trace")
-    w, u = np.linalg.eigh(rho)
-    if w.min() < -1e-10:
-        raise DomainError("density matrix must be positive semidefinite")
-    # the square roots of eig(rho * flipped) equal the singular values of
-    # sqrt(rho) Y sqrt(rho)^*, which avoids losing half the precision to
-    # the square root of near-zero eigenvalues
-    sqrt_rho = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    roots = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(),
-                          compute_uv=False)
-    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
 
 
 def generation_rate(coeffs: CoefficientSet) -> GenerationReport:
@@ -160,17 +108,6 @@ def _generation_rate(a1, a2, b1, d):
     hypot = _libm(math.hypot, a2, d)
     rate = 4.0 * hypot - 4.0 * scale * np.sqrt(np.maximum(disc, 0.0))
     return float(rate[0]) if scalar else rate
-
-
-def k1_closed(tau: float, populations, coeffs: CoefficientSet) -> float:
-    """Analytic k1 for the '10' initial state, where the coherence is known:
-    sqrt((p_aa - p_ss)^2 + sin^2(4 d tau) exp(-8 a1 tau)) - 2 sqrt(p_gg p_ee).
-
-    `populations` is the tuple (p_aa, p_ss, p_gg, p_ee) at time tau.
-    """
-    p_aa, p_ss, p_gg, p_ee = populations
-    osc = math.sin(4.0 * coeffs.d * tau) ** 2 * math.exp(-8.0 * coeffs.a1 * tau)
-    return math.sqrt((p_aa - p_ss) ** 2 + osc) - 2.0 * math.sqrt(max(p_gg * p_ee, 0.0))
 
 
 class _Trajectories:
@@ -357,9 +294,10 @@ def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8
 
     The sets are planned together (default horizons from one stacked
     computation), then searched in chunks, in order, whose grids hold at most
-    _CHUNK_SAMPLES samples in all (a larger set alone); `each_or_alone` plans
-    or searches the sets of a failing batch alone. A set gets the bits, the
-    error and the horizon warning of its own call, whatever else it is with.
+    _CHUNK_SAMPLES samples in all (a larger set alone); `each_or_alone`
+    halves a failing batch of the planning or a failing chunk down to its
+    failing sets. A set gets the bits, the error and the horizon warning of
+    its own call, whatever else it is with.
     """
     _check_tol(tol)
     state0 = prepare_initial(initial)

@@ -4,7 +4,7 @@ Two identical two-level atoms ride uniformly accelerated worldlines parallel
 to a reflecting plane (distance z from it, separated by L along the plane).
 The mirror adds an image contribution to the vacuum two-point function; on
 the accelerated worldline its Fourier transform reduces to the interference
-kernels ``kernel_f`` / ``kernel_h`` below, and the whole dissipative dynamics
+kernels f and h (``_kernels`` below), and the whole dissipative dynamics
 collapses to five real rates (a1, a2, b1, b2, d).
 
 Units: rates are multiples of gamma0 (the inertial spontaneous-emission
@@ -87,14 +87,6 @@ def _check_finite(values):
             raise DomainError(f"coefficient {name} must be finite")
 
 
-@dataclass(frozen=True)
-class SpectralPair:
-    """Values of the same-atom (g11) and cross-atom (g12) correlation spectra."""
-
-    g11: float
-    g12: float
-
-
 def _elementwise(*args) -> tuple:
     """The arguments, floats or 1-D arrays of one size, as float arrays of
     that size, then whether every argument was a float (whose results are
@@ -132,37 +124,17 @@ def coth(x):
     return float(value[0]) if scalar else value
 
 
-def kernel_f(omega: float, accel: float, d: float) -> float:
-    """Oscillatory boundary-interference kernel, sin-type.
-
-    Returns sin[(2*omega/accel)*asinh(accel*d)] / (2*omega*d*sqrt(accel^2 d^2 + 1)).
-    For accel = 0 (or accel*d < INERTIAL_SWITCH) the inertial closed form
-    sin(2*omega*d)/(2*omega*d) is used. Result lies in [-1, 1].
-    """
-    return _kernel_pair(omega, accel, d)[0]
-
-
-def kernel_h(omega: float, accel: float, d: float) -> float:
-    """Oscillatory boundary-interference kernel, cos-type.
-
-    Returns cos[(2*omega/accel)*asinh(accel*d)] / (2*omega*d*sqrt(accel^2 d^2 + 1)),
-    with the inertial form cos(2*omega*d)/(2*omega*d) below the switch.
-    Diverges as 1/(2*omega*d) for d -> 0+; callers must keep d bounded away
-    from zero (the contact divergence is physical and is not regularized).
-    """
-    return _kernel_pair(omega, accel, d)[1]
-
-
-def _kernel_pair(omega: float, accel: float, d: float) -> tuple:
-    """(kernel_f, kernel_h) at one distance: the one-element case of `_kernels`."""
-    f, h = _kernels(*_elementwise(omega, accel, d)[:3])
-    return float(f[0]), float(h[0])
-
-
 def _kernels(omega: np.ndarray, accel: np.ndarray, d: np.ndarray) -> tuple:
-    """(kernel_f, kernel_h) elementwise over 1-D arrays of one shape, from one
-    phase and one denominator per element; the one implementation of both
-    kernels. DomainError names the first element out of the domain."""
+    """The interference kernels (f, h) elementwise over 1-D arrays of one
+    shape, from one phase and one denominator per element:
+
+        f = sin[(2 omega/accel) asinh(accel d)] / (2 omega d sqrt(accel^2 d^2 + 1))
+
+    and h the same with cos, or the inertial forms sin(2 omega d)/(2 omega d)
+    and cos(2 omega d)/(2 omega d) where accel*d < INERTIAL_SWITCH. f lies in
+    [-1, 1]; h diverges as 1/(2 omega d) for d -> 0+ (the contact divergence
+    is physical and is not regularized). DomainError names the first element
+    out of the domain."""
     _check_kernel_args(omega, accel, d)
     f, h = np.empty(d.size), np.empty(d.size)
     with np.errstate(all="ignore"):
@@ -192,28 +164,6 @@ def _check_kernel_args(omega, accel, d):
         i = int(np.argmin(good))
         name, rule, _, x = next(check for check in checks if not check[2][i])
         raise DomainError(f"{name} must be {rule}, got {x[i].item()}")
-
-
-def spectral_density(lam: float, params: SystemParams) -> SpectralPair:
-    """Correlation spectra at frequency lam (may be negative, not zero).
-
-    g11 = (lam/4pi)(coth(pi*lam/a) + 1)[1 - f(lam, z)]
-    g12 = (lam/4pi)(coth(pi*lam/a) + 1)[f(lam, L/2) - f(lam, sqrt(L^2/4 + z^2))]
-
-    Both kernels are even in lam, so the pair satisfies the detailed-balance
-    (KMS) ratio g(-lam)/g(lam) = exp(-2*pi*lam/a).
-    """
-    if lam == 0.0 or not math.isfinite(lam):
-        raise DomainError("spectral density is undefined at lam = 0")
-    if params.accel == 0.0:
-        thermal = 2.0 if lam > 0.0 else 0.0
-    else:
-        thermal = coth(math.pi * lam / params.accel) + 1.0
-    pref = lam / (4.0 * math.pi) * thermal
-    om, a, z, l, _ = _elementwise(abs(lam), params.accel, params.z, params.l)
-    f_half, f_diag, f_z = _distance_kernels(om, a, z, l)[0]  # kernels are even in lam
-    return SpectralPair(g11=pref * (1.0 - float(f_z[0])),
-                        g12=pref * float(f_half[0] - f_diag[0]))
 
 
 def _distance_kernels(om, a, z, l) -> tuple:

@@ -7,9 +7,8 @@ two decoupled scalar equations for the coherences:
 
     c_as' = -4 (a1 + i d) c_as        c_ge' = -4 a1 c_ge
 
-The closed solver exponentiates the population generator; the fixed-step
-4th-order integrator is kept as an independent cross-check. Both return
-arrays over the time stamps, checked at once by `x_invariants`, as XState is.
+The closed solver exponentiates the population generator and returns arrays
+over the time stamps, checked at once by `x_invariants`, as XState is.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ from .errors import ConvergenceError, DegenerateKernelError, DomainError, Invari
 
 # hard error at 1e-9 of drift, clamp-to-zero below that (roundoff headroom)
 HARD_TOL = 1e-9
-
-_STEP_BUDGET = 2 ** 20
-_NUMERIC_STAMPS = 200  # output intervals of the fixed-step integrator
 
 
 _POPULATIONS = ("p_gg", "p_ee", "p_aa", "p_ss")
@@ -103,18 +99,6 @@ class XState:
 
 
 @dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of an XState; same fields, no normalization constraints."""
-
-    p_gg: float
-    p_ee: float
-    p_aa: float
-    p_ss: float
-    c_as: complex
-    c_ge: complex
-
-
-@dataclass(frozen=True)
 class EvolutionResult:
     """A trajectory as arrays over strictly increasing proper-time stamps (in
     1/gamma0): populations of shape (4, n) in the order (gg, ee, aa, ss),
@@ -175,17 +159,6 @@ def _generator_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
             0.0, -4.0 * (a1 + b1), up_a, up_s,
             up_a, down_a, -4.0 * (a1 - a2), 0.0,
             up_s, down_s, 0.0, -4.0 * (a1 + a2))
-
-
-def rhs(state: XState, coeffs: CoefficientSet) -> StateDerivative:
-    """Right-hand side of the master equation restricted to the X form."""
-    m = population_generator(coeffs)
-    dp = m @ state.populations
-    return StateDerivative(
-        p_gg=dp[0], p_ee=dp[1], p_aa=dp[2], p_ss=dp[3],
-        c_as=-4.0 * (coeffs.a1 + 1j * coeffs.d) * state.c_as,
-        c_ge=-4.0 * coeffs.a1 * state.c_ge,
-    )
 
 
 class _PopulationPropagator:
@@ -305,79 +278,12 @@ def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionRe
     return _assemble(t, pops, c_as, c_ge)
 
 
-def _rk4_step_operator(gen: np.ndarray, h: float) -> np.ndarray:
-    """One-step map of classic fixed-step RK4 for the linear system y' = G y:
-    the RK4 stage combination collapses to the degree-4 Taylor polynomial."""
-    hg = h * gen
-    term = np.eye(gen.shape[0], dtype=complex)
-    out = term.copy()
-    for k in (1.0, 2.0, 3.0, 4.0):
-        term = term @ hg / k
-        out += term
-    return out
-
-
-def evolve_numeric(initial: XState, coeffs: CoefficientSet, t_end: float,
-                   tol: float = 1e-9) -> EvolutionResult:
-    """Independent oracle: classic fixed-step RK4, step-halved until two
-    successive refinements agree to `tol` in max norm at 201 output stamps."""
-    if not (1e-12 <= tol <= 1e-4):
-        raise DomainError(f"tol must lie in [1e-12, 1e-4], got {tol}")
-    if t_end <= 0.0 or not math.isfinite(t_end):
-        raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-
-    gen = np.zeros((6, 6), dtype=complex)
-    gen[:4, :4] = population_generator(coeffs)
-    gen[4, 4] = -4.0 * (coeffs.a1 + 1j * coeffs.d)
-    gen[5, 5] = -4.0 * coeffs.a1
-    y0 = np.array([initial.p_gg, initial.p_ee, initial.p_aa, initial.p_ss,
-                   initial.c_as, initial.c_ge], dtype=complex)
-
-    times = np.linspace(0.0, t_end, _NUMERIC_STAMPS + 1)
-    prev = None
-    n = _NUMERIC_STAMPS
-    while True:
-        if n > _STEP_BUDGET:
-            raise ConvergenceError(
-                f"step-count budget exceeded at {n} steps without reaching tol={tol:g}")
-        step = _rk4_step_operator(gen, t_end / n)
-        sub = n // _NUMERIC_STAMPS
-        snaps = np.empty((_NUMERIC_STAMPS + 1, 6), dtype=complex)
-        y = y0.copy()
-        snaps[0] = y
-        with np.errstate(over="ignore", invalid="ignore"):
-            # a step too coarse for the fastest rate may blow up; the halving
-            # ladder recovers, so overflow here is not an error
-            for i in range(_NUMERIC_STAMPS):
-                for _ in range(sub):
-                    y = step @ y
-                snaps[i + 1] = y
-            if prev is not None and np.max(np.abs(snaps - prev)) < tol:
-                break
-        prev = snaps
-        n *= 2
-
-    pops = snaps[:, :4].real.T
-    return _assemble(times, pops, snaps[:, 4], snaps[:, 5],
-                     state_tol=max(HARD_TOL, 10.0 * tol))
-
-
-def steady_state(coeffs: CoefficientSet) -> XState:
-    """Unique trace-one stationary state of the population system, coherences zero.
-
-    Physically the product Gibbs state at the Unruh temperature, with the
-    excited/ground ratio set by acceleration alone. Raises
-    DegenerateKernelError when the generator's null space is not
-    one-dimensional (a1 = |a2| pathologies) instead of guessing.
-    """
-    p = _null_populations([coeffs], population_generators([coeffs]))[0]
-    return XState(p_gg=p[0], p_ee=p[1], p_aa=p[2], p_ss=p[3])
-
-
 def _null_populations(coeff_sets, ms) -> np.ndarray:
     """The trace-one null vectors (n, 4) of the stacked generators `ms` of
-    `coeff_sets`, unchecked as states; raises the error of `steady_state`
-    for the first check any set fails."""
+    `coeff_sets`, the stationary populations, unchecked as states.
+    DomainError unless every a1 > 0; DegenerateKernelError for the first
+    generator whose null space is not one-dimensional or whose null vector
+    is traceless, rather than guess."""
     if any(c.a1 <= 0.0 for c in coeff_sets):
         raise DomainError("steady state requires a1 > 0")
     _, s, vt = np.linalg.svd(ms)
@@ -392,16 +298,9 @@ def _null_populations(coeff_sets, ms) -> np.ndarray:
     return v / total[:, None]
 
 
-def slowest_relaxation_rate(coeffs: CoefficientSet) -> float:
-    """Smallest nonzero decay rate of the population generator."""
-    rate = _relaxation_rates(population_generators([coeffs]))[0]
-    if rate == math.inf:
-        raise DegenerateKernelError("population generator has no decaying mode")
-    return float(rate)
-
-
 def _relaxation_rates(ms) -> np.ndarray:
-    """`slowest_relaxation_rate` of each stacked generator, inf where none decays."""
+    """The smallest nonzero decay rate of each stacked generator, inf where
+    none decays."""
     rates = np.abs(np.linalg.eigvals(ms).real)
     floor = 1e-10 * np.maximum(rates.max(axis=1), 1e-300)
     return np.where(rates > floor[:, None], rates, math.inf).min(axis=1)
@@ -424,7 +323,7 @@ def default_horizons(coeff_sets, initial: XState) -> list:
     ms = population_generators(coeff_sets)
     p = _null_populations(coeff_sets, ms)
     zero = np.zeros(len(p))
-    held = x_invariants(*p.T, zero, zero, HARD_TOL)[0]  # the check of steady_state's XState
+    held = x_invariants(*p.T, zero, zero, HARD_TOL)[0]  # the checks of an XState
     gaps = np.abs(initial.populations - held.T).sum(axis=1)
     rates = _relaxation_rates(ms)
     if ((gaps > POPULATION_FLOOR) & (rates == math.inf)).any():

@@ -183,18 +183,10 @@ class SweepResult:
         return parts
 
 
-def _row(g: float, variant: str, coeffs: tuple, found) -> tuple:
-    """The row of (g, variant) with `coeffs` (or five Nones): if `found` is
-    an error, no value and its marker, else `found` as the value."""
-    if isinstance(found, Exception):
-        return (g, variant, None, *coeffs, str(found))
-    return (g, variant, found, *coeffs, None)
-
-
 def _filled(out: np.ndarray, kernel, size: int) -> list:
     """Each point's error, or None, of `kernel` over index lists of the
     points 0..size-1, whose results it writes to out[..., points];
-    `each_or_alone` runs the points of a failing batch alone."""
+    `each_or_alone` halves a failing batch down to its failing points."""
     def fill(points):
         out[..., points] = kernel(points)
         return [None] * len(points)
@@ -218,15 +210,30 @@ def _interleaved(per_variant: list) -> list:
     return column
 
 
-def _point_rows(spec: SweepSpec) -> Columns:
+def _columns(spec: SweepSpec, values: dict, coefficients: list, ds: dict,
+             errors: dict) -> Columns:
+    """The columns of a sweep, grid point major, from one list per variant
+    of the values, d and the errors (or Nones), and one list each of a1..b2,
+    which every variant's row of a point shares; the rows of a point share
+    its axis_value too."""
+    variants = spec.variants
+    return Columns(_interleaved([list(spec.grid)] * len(variants)),
+                   _interleaved([[v] * len(spec.grid) for v in variants]),
+                   _interleaved([values[v] for v in variants]),
+                   *(_interleaved([column] * len(variants)) for column in coefficients),
+                   _interleaved([ds[v] for v in variants]),
+                   _interleaved([[None if e is None else str(e) for e in errors[v]]
+                                 for v in variants]))
+
+
+def _point_columns(spec: SweepSpec) -> Columns:
     """The columns of a rate, coefficients or cmax sweep: the coefficients
     of every grid point from one `_coefficients` call (SweepSpec has checked
     what SystemParams would), then the quantity of every row, with d = 0
     for without_D: the rates from one `_generation_rate` call per variant,
     the maxima from one `max_concurrences` call. A failure of the
     coefficients marks every variant's row of its point, one of the
-    quantity its own row. The rows of a point hold the same objects for
-    axis_value and a1..b2."""
+    quantity its own row."""
     n, variants, grid = len(spec.grid), spec.variants, np.array(spec.grid)
 
     def coefficients(points):
@@ -255,31 +262,32 @@ def _point_rows(spec: SweepSpec) -> Columns:
             found = [e or next(searched) for e in failed]
             errors[v] = [f if isinstance(f, Exception) else None for f in found]
             values[v] = [None if e else f[1] for f, e in zip(found, errors[v])]
-    return Columns(_interleaved([list(spec.grid)] * len(variants)),
-                   _interleaved([[v] * n for v in variants]),
-                   _interleaved([values[v] for v in variants]),
-                   *(_interleaved([column] * len(variants)) for column in (a1, a2, b1, b2)),
-                   _interleaved([ds[v] for v in variants]),
-                   _interleaved([[None if e is None else str(e) for e in errors[v]]
-                                 for v in variants]))
+    return _columns(spec, values, [a1, a2, b1, b2], ds, errors)
 
 
-def _tau_rows(spec: SweepSpec) -> list:
-    """Rows of a tau sweep: the coefficients once, then one curve per
-    variant; a failure of the coefficients marks every row."""
-    dims = spec.fixed
+def _tau_columns(spec: SweepSpec) -> Columns:
+    """The columns of a tau sweep: the coefficients once, then one curve per
+    variant, each stamp's value or error; a failure of the coefficients
+    marks every row. Every row holds the same a1..b2 objects."""
+    n, dims = len(spec.grid), spec.fixed
     try:
         full = _coefficients(1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
     except NUMERICAL_ERRORS as exc:
-        return [_row(g, v, (None,) * 5, exc) for g in spec.grid for v in spec.variants]
+        nothing = [None] * n
+        return _columns(spec, dict.fromkeys(spec.variants, nothing), [nothing] * 4,
+                        dict.fromkeys(spec.variants, nothing),
+                        dict.fromkeys(spec.variants, [exc] * n))
 
     def curve(coeffs, stamps):
         return evolve_closed(prepare_initial("ten"), coeffs, stamps).concurrence.tolist()
 
-    coeffs = {v: (*full[:4], full[4] if v == "with_D" else 0.0) for v in spec.variants}
-    found = {v: each_or_alone(partial(curve, CoefficientSet(*c)), spec.grid)
-             for v, c in coeffs.items()}
-    return [_row(g, v, c, found[v][i]) for i, g in enumerate(spec.grid) for v, c in coeffs.items()]
+    ds = {v: full[4] if v == "with_D" else 0.0 for v in spec.variants}
+    found = {v: each_or_alone(partial(curve, CoefficientSet(*full[:4], d)), spec.grid)
+             for v, d in ds.items()}
+    errors = {v: [f if isinstance(f, Exception) else None for f in found[v]] for v in found}
+    values = {v: [None if e else f for f, e in zip(found[v], errors[v])] for v in found}
+    return _columns(spec, values, [[x] * n for x in full[:4]],
+                    {v: [d] * n for v, d in ds.items()}, errors)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -288,7 +296,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
-    return SweepResult(spec, zip(*_tau_rows(spec)) if spec.axis == "tau" else _point_rows(spec))
+    return SweepResult(spec, (_tau_columns if spec.axis == "tau" else _point_columns)(spec))
 
 
 # ---------------------------------------------------------------------------

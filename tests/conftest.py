@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mirroratoms import SystemParams, XState
+from mirroratoms.evolution import _null_populations, population_generators
 
 
 @pytest.fixture
@@ -30,3 +31,11 @@ def random_params(rng: np.random.Generator) -> SystemParams:
     l_omega = np.exp(rng.uniform(np.log(0.3), np.log(30.0)))
     return SystemParams(omega=omega, accel=a_over * omega,
                         z=z_omega / omega, l=l_omega / omega)
+
+
+def steady_state(coeffs) -> XState:
+    """The stationary state of a coefficient set: the null vector of its
+    population generator that the default horizon relaxes towards, checked
+    as an XState, coherences zero."""
+    p = _null_populations([coeffs], population_generators([coeffs]))[0]
+    return XState(p_gg=p[0], p_ee=p[1], p_aa=p[2], p_ss=p[3])

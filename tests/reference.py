@@ -52,12 +52,6 @@ def gibbs_populations_hp(om, a):
     return 1 / norm, x * x / norm, x / norm, x / norm
 
 
-def spectral_g11_hp(lam, a, z):
-    lam, a = mp.mpf(lam), mp.mpf(a)
-    return lam / (4 * mp.pi) * (mp.coth(mp.pi * lam / a) + 1) * (
-        1 - kernel_f_hp(abs(lam), a, z))
-
-
 def image_correction_hp(lam, a, z):
     lam, a = mp.mpf(lam), mp.mpf(a)
     return -lam / (4 * mp.pi) * (mp.coth(mp.pi * lam / a) + 1) * kernel_f_hp(abs(lam), a, z)
@@ -70,7 +64,6 @@ FROZEN = {
     "h_1_1_015": 3.1503063142722516,
     "h_1_1_04": 0.8250256519089668,
     "coth_pi": 1.0037418731973213,
-    "g11_lam1": 0.029294418416122225,
     "a1": 0.046101496275750253,
     "a2": 0.044207234297030704,
     "b1": 0.045929633411524876,

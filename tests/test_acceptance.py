@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from mirroratoms import (SystemParams, compute_coefficients, concurrence_general,
-                         concurrence_x, evolve_closed, evolve_numeric,
-                         generation_rate, prepare_initial, preset, run_sweep,
-                         steady_state, to_product_matrix)
-from mirroratoms.wightman import image_wightman_ft_oracle
+from mirroratoms import (SystemParams, compute_coefficients, concurrence_x,
+                         evolve_closed, generation_rate, prepare_initial, preset,
+                         run_sweep)
 
-from conftest import random_params, random_x_state
+from conftest import random_params, random_x_state, steady_state
+from oracles import (concurrence_general, evolve_numeric, image_wightman_ft_oracle,
+                     to_product_matrix)
 import reference as ref
 
 ANCHOR = SystemParams(omega=1.0, accel=1.0, z=0.4, l=0.3)

@@ -354,6 +354,33 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+# what the commands, the sweeps and the benchmark scripts use
+_PUBLIC = {
+    "CoefficientSet", "ConcurrenceReport", "ConvergenceError", "DegenerateKernelError",
+    "DomainError", "EvolutionResult", "GenerationReport", "InvariantError", "SweepResult",
+    "SweepRow", "SweepSpec", "SystemParams", "XState", "compute_coefficients",
+    "concurrence_x", "coth", "default_horizon", "default_time_grid", "emit",
+    "evolve_closed", "generation_rate", "load_result", "max_concurrence",
+    "max_concurrences", "population_generator", "prepare_initial", "preset", "run_sweep",
+}
+
+
+def test_public_surface_is_pinned_and_loads_no_oracle():
+    assert len(mirroratoms.__all__) == len(_PUBLIC)
+    assert set(mirroratoms.__all__) == _PUBLIC
+    assert all(hasattr(mirroratoms, name) for name in _PUBLIC)
+    # the test oracles are importable in the child, and must stay unloaded
+    code = ("import sys, mirroratoms; "
+            "print(sorted(m for m in sys.modules if m in ('oracles', 'scipy.integrate')))")
+    src = str(Path(mirroratoms.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True, env=env)
+    assert done.stdout.strip() == "[]"
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["figure", "11"])

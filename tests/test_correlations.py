@@ -1,5 +1,5 @@
-"""Kernels, spectra and the reduced coefficient set against the
-high-precision reference."""
+"""Kernels and the reduced coefficient set against the high-precision
+reference."""
 
 import dataclasses
 import math
@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mirroratoms import (CoefficientSet, DomainError, SystemParams, compute_coefficients,
-                         coth, kernel_f, kernel_h, spectral_density)
+                         coth)
 from mirroratoms.concurrence import _generation_rate, generation_rate
-from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernel_pair, _kernels
+from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernels
 from mirroratoms.sweep import preset
 
 import float_reference as float_ref
@@ -31,6 +31,20 @@ def test_frozen_anchors_match_recomputed_oracle():
     assert b2 == pytest.approx(ref.FROZEN["b2"], rel=1e-14)
     assert d == pytest.approx(ref.FROZEN["d"], rel=1e-14)
     assert float(ref.rate_hp(1, 1, 0.4, 0.3)) == pytest.approx(ref.FROZEN["rate"], rel=1e-14)
+
+
+def _kernel_pair(omega, accel, d) -> tuple:
+    """(f, h) at one distance, from the array kernels the coefficients use."""
+    f, h = _kernels(*(np.array([x], dtype=float) for x in (omega, accel, d)))
+    return float(f[0]), float(h[0])
+
+
+def kernel_f(omega, accel, d) -> float:
+    return _kernel_pair(omega, accel, d)[0]
+
+
+def kernel_h(omega, accel, d) -> float:
+    return _kernel_pair(omega, accel, d)[1]
 
 
 # --- kernel_f -----------------------------------------------------------
@@ -159,9 +173,7 @@ def _separate_kernels(omega, accel, d):
 def test_kernel_pair_is_bitwise_kernel_f_and_h(omega, d, accel, near_switch, ratio):
     if near_switch:  # accel*d within a factor 2 of INERTIAL_SWITCH, either side
         accel = ratio * INERTIAL_SWITCH / d
-    assert _bits(*_kernel_pair(omega, accel, d)) == \
-        _bits(kernel_f(omega, accel, d), kernel_h(omega, accel, d)) == \
-        _bits(*_separate_kernels(omega, accel, d))
+    assert _bits(*_kernel_pair(omega, accel, d)) == _bits(*_separate_kernels(omega, accel, d))
 
 
 def test_kernel_pair_takes_both_branches_at_the_switch():
@@ -169,9 +181,7 @@ def test_kernel_pair_takes_both_branches_at_the_switch():
     below, above = INERTIAL_SWITCH * (1.0 - 1e-12) / d, INERTIAL_SWITCH / d
     assert below * d < INERTIAL_SWITCH <= above * d
     for accel in (0.0, below, above):
-        assert _bits(*_kernel_pair(1.3, accel, d)) == \
-            _bits(kernel_f(1.3, accel, d), kernel_h(1.3, accel, d)) == \
-            _bits(*_separate_kernels(1.3, accel, d))
+        assert _bits(*_kernel_pair(1.3, accel, d)) == _bits(*_separate_kernels(1.3, accel, d))
     with pytest.raises(DomainError):
         _kernel_pair(1.0, 1.0, 0.0)
 
@@ -413,48 +423,6 @@ def test_coth_saturates_without_overflow():
     assert coth(0.5) == pytest.approx(float(mp.coth(0.5)), rel=1e-15)
     with pytest.raises(DomainError):
         coth(0.0)
-
-
-# --- spectral density ----------------------------------------------------
-
-def test_spectral_density_anchor(anchor_params):
-    pair = spectral_density(1.0, anchor_params)
-    assert pair.g11 == pytest.approx(0.02930, abs=1e-4)
-    assert pair.g11 == pytest.approx(ref.FROZEN["g11_lam1"], rel=1e-13)
-
-
-def test_spectral_density_kms_ratio():
-    for a in (0.5, 1.0, 2.0):
-        for lam in (0.3, 1.0, 2.5):
-            for z, l in ((0.4, 0.3), (2.0, 1.0)):
-                p = SystemParams(omega=1.0, accel=a, z=z, l=l)
-                plus = spectral_density(lam, p)
-                minus = spectral_density(-lam, p)
-                kms = math.exp(-2.0 * math.pi * lam / a)
-                assert minus.g11 / plus.g11 == pytest.approx(kms, rel=1e-12)
-                if plus.g12 != 0.0:
-                    assert minus.g12 / plus.g12 == pytest.approx(kms, rel=1e-12)
-
-
-def test_spectral_density_far_boundary_limit():
-    p = SystemParams(omega=1.0, accel=1.0, z=1e9, l=0.3)
-    free = 1.0 / (4.0 * math.pi) * (coth(math.pi) + 1.0)
-    assert spectral_density(1.0, p).g11 == pytest.approx(free, rel=1e-9)
-
-
-def test_spectral_density_positive_and_zero_frequency_error(anchor_params):
-    for lam in (0.2, 1.0, 3.0):
-        assert spectral_density(lam, anchor_params).g11 >= 0.0
-    with pytest.raises(DomainError):
-        spectral_density(0.0, anchor_params)
-
-
-def test_spectral_density_inertial_limit():
-    p = SystemParams(omega=1.0, accel=0.0, z=0.4, l=0.3)
-    pair = spectral_density(1.0, p)
-    expected = 1.0 / (4.0 * math.pi) * 2.0 * (1.0 - kernel_f(1.0, 0.0, 0.4))
-    assert pair.g11 == pytest.approx(expected, rel=1e-14)
-    assert spectral_density(-1.0, p).g11 == 0.0
 
 
 # --- compute_coefficients -------------------------------------------------

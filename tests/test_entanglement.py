@@ -12,16 +12,17 @@ import mirroratoms.concurrence as concurrence_mod
 from mirroratoms import (CoefficientSet, ConvergenceError, DomainError,
                          InvariantError, SweepSpec,
                          SystemParams, XState, compute_coefficients,
-                         concurrence_general, concurrence_x, default_horizon,
-                         evolve_closed, evolve_numeric, generation_rate, k1_closed,
+                         concurrence_x, default_horizon,
+                         evolve_closed, generation_rate,
                          max_concurrence, max_concurrences, population_generator,
-                         prepare_initial, preset, run_sweep, to_product_matrix)
+                         prepare_initial, preset, run_sweep)
 from mirroratoms.cli import main
 from mirroratoms.concurrence import _plan, _refine, _search_grids, _Trajectories
 from mirroratoms.errors import NUMERICAL_ERRORS
 from mirroratoms.evolution import HARD_TOL, propagators, x_concurrence
 
 from conftest import random_params, random_x_state
+from oracles import concurrence_general, evolve_numeric, k1_closed, to_product_matrix
 import reference as ref
 
 

@@ -9,13 +9,14 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 
 from mirroratoms import (ConvergenceError, SweepSpec, compute_coefficients,
                          load_result, max_concurrences, run_sweep)
 from mirroratoms.cli import main
 from mirroratoms.concurrence import _generation_rate
-from mirroratoms.correlations import SystemParams, _kernel_pair
+from mirroratoms.correlations import SystemParams, _kernels
 from mirroratoms.sweep import render_json
 
 LENGTHS = (1e-300, 1e-8, 0.4, 1e150, 1e300)  # omega*z and omega*L
@@ -65,8 +66,9 @@ def test_sweeps_mark_their_failed_rows_on_extreme_inputs(tmp_path, quantity):
 def test_kernels_vanish_where_the_phase_overflows():
     # accel*d past the float range: the kernels are 0 to double precision,
     # as they already were where only the denominator overflows
-    assert _kernel_pair(1.0, 1e160, 1e150) == (0.0, 0.0)
-    assert [abs(k) for k in _kernel_pair(1.0, 1e160, 1e140)] == [0.0, 0.0]
+    f, h = _kernels(np.array([1.0, 1.0]), np.array([1e160, 1e160]), np.array([1e150, 1e140]))
+    assert (f[0], h[0]) == (0.0, 0.0)
+    assert [abs(f[1]), abs(h[1])] == [0.0, 0.0]
     coeffs = compute_coefficients(SystemParams.from_dimensionless(0.4, 1e160, 1e150))
     assert (coeffs.a2, coeffs.b2, coeffs.d) == (0.0, 0.0, 0.0)
     for command in ("coefficients", "rate", "cmax", "evolve"):

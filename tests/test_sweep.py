@@ -16,6 +16,7 @@ from mirroratoms import (CoefficientSet, DomainError, InvariantError, SweepResul
                          emit, generation_rate, load_result, prepare_initial,
                          preset, run_sweep)
 from mirroratoms.correlations import INERTIAL_SWITCH
+from mirroratoms.errors import each_or_alone
 from mirroratoms.sweep import (CSV_COLUMNS, VARIANTS, _fnum, _jnum, _jstr, render_csv,
                                render_json)
 
@@ -337,8 +338,8 @@ def test_split_variants_does_not_validate_the_grid_again(monkeypatch):
 
 def test_cmax_sweep_matches_per_point_rows(monkeypatch):
     # omega*z = 1e155 fails the coefficients; a forced failure of the
-    # without_D search at omega*z = 1 fails its chunk, which is searched
-    # again row by row, and marks that row alone
+    # without_D search at omega*z = 1 fails its chunk, whose halves are
+    # searched again down to that row, and marks that row alone
     real = concurrence_mod._search
 
     def flaky(rows, *args, **kwargs):
@@ -455,9 +456,53 @@ def test_tau_sweep_re_evaluates_only_the_failing_variant(monkeypatch):
     monkeypatch.setattr(sweep_mod, "evolve_closed", without_d_refused)
     result = run_sweep(spec)
     n = len(spec.grid)
-    assert calls == [(False, n), (True, n)] + [(True, 1)] * n
+    assert calls == [(False, n)] + [(True, size) for size in _halving(n)]
+    assert calls.count((True, 1)) == n  # every without_D stamp is evaluated
     assert all(error is None for error in result.columns.error)
     assert render_csv(result) == render_csv(_per_stamp(spec))
+
+
+# --- failing batches ------------------------------------------------------------
+
+def _halving(n: int) -> list:
+    """The batch sizes, in call order, that `each_or_alone` gives a kernel
+    that refuses every batch of more than one of its n items."""
+    if n == 1:
+        return [1]
+    return [n, *_halving(n // 2), *_halving(n - n // 2)]
+
+
+@pytest.mark.parametrize("failing", [(), (0,), (1023,), (3, 700), (5, 6, 7, 8, 500),
+                                     tuple(range(0, 1024, 97))])
+def test_each_or_alone_isolates_failures_in_bounded_calls(failing):
+    calls = []
+
+    def kernel(items):
+        calls.append(len(items))
+        bad = [i for i in items if i in failing]
+        if bad:
+            raise DomainError(f"item {bad[0]} refused")
+        return [2 * i for i in items]
+
+    found = each_or_alone(kernel, list(range(1024)))
+    # each failing item carries the error of a call on it alone
+    assert [str(f) if isinstance(f, DomainError) else f for f in found] == \
+        [f"item {i} refused" if i in failing else 2 * i for i in range(1024)]
+    assert len(calls) <= 1 + 2 * len(failing) * 10
+
+
+def test_one_failing_point_costs_logarithmic_coefficient_calls(monkeypatch):
+    # omega*z = 1e155 overflows the diagonal distance after 20 000 good points
+    spec = SweepSpec(axis="z_omega", grid=(*np.geomspace(1e-2, 4e3, 20_000), 1e155),
+                     fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity="rate")
+    calls = _count_coefficient_calls(monkeypatch)
+    result = run_sweep(spec)
+    n = len(spec.grid)
+    assert len(calls) <= 2 * math.ceil(math.log2(n)) + 1
+    with pytest.raises(DomainError) as alone:
+        ref.coefficients(1.0, 1.0, 1e155, 0.3)
+    assert result.columns.error[-2:] == (str(alone.value),) * 2
+    assert not any(result.columns.error[:-2])
 
 
 # --- presets -----------------------------------------------------------------

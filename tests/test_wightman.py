@@ -4,15 +4,19 @@ import math
 
 import pytest
 
-from mirroratoms import ConvergenceError, DomainError, SystemParams, coth, kernel_f
-from mirroratoms.wightman import default_epsilon_schedule, image_wightman_ft_oracle
+import numpy as np
 
+from mirroratoms import ConvergenceError, DomainError, SystemParams, coth
+from mirroratoms.correlations import _kernels
+
+from oracles import default_epsilon_schedule, image_wightman_ft_oracle
 import reference as ref
 
 
 def test_oracle_reproduces_closed_form(anchor_params):
     val = image_wightman_ft_oracle(1.0, anchor_params)
-    closed = -(1.0 / (4.0 * math.pi)) * (coth(math.pi) + 1.0) * kernel_f(1.0, 1.0, 0.4)
+    f = float(_kernels(np.array([1.0]), np.array([1.0]), np.array([0.4]))[0][0])
+    closed = -(1.0 / (4.0 * math.pi)) * (coth(math.pi) + 1.0) * f
     assert closed == pytest.approx(ref.FROZEN["image_corr_lam1"], rel=1e-13)
     assert val == pytest.approx(closed, rel=1e-2)
 
