@@ -11,6 +11,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ def _add_output(p: argparse.ArgumentParser, formats=("text", "csv", "json")):
                    help="output file (default: stdout)")
 
 
+@cache  # built on first use, once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mirroratoms",
                                  description=__doc__.splitlines()[0])

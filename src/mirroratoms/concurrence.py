@@ -19,8 +19,8 @@ import numpy as np
 from .correlations import (CoefficientSet, SystemParams, _elementwise, _libm,
                            compute_coefficients)
 from .errors import ConvergenceError, DomainError, each_or_alone
-from .evolution import (SAMPLES_PER_SCALE, XState, _time_scale, default_horizons,
-                        prepare_initial, propagators, x_concurrence)
+from .evolution import (_TEN, SAMPLES_PER_SCALE, XState, _time_scale, default_horizons,
+                        propagators, x_concurrence)
 
 # uniform samples allowed over the coherence window, beyond which the
 # search raises ConvergenceError rather than truncate its grid
@@ -111,13 +111,11 @@ def _generation_rate(a1, a2, b1, d):
 
 
 class _Trajectories:
-    """The closed-form trajectories of coefficient sets from one initial state."""
+    """The closed-form trajectories of coefficient sets from |10>."""
 
-    def __init__(self, coeff_sets, initial: XState):
+    def __init__(self, coeff_sets):
         self.props = propagators(coeff_sets)
-        self.initial = initial
         self.coherent = np.array([-4.0 * (c.a1 + 1j * c.d) for c in coeff_sets])
-        self.damped = np.array([-4.0 * c.a1 for c in coeff_sets])
 
     def concurrence(self, taus: np.ndarray, counts) -> np.ndarray:
         """Concurrence at `taus`: the first counts[0] stamps on the trajectory
@@ -127,19 +125,16 @@ class _Trajectories:
         A set's populations come from its own 4x4 @ 4xN product on its own
         stamps, which BLAS may round differently with N; the rest is
         elementwise, so a stamp's bits do not depend on the other sets'."""
-        initial, ends = self.initial, np.cumsum(counts).tolist()
-        p0, pops = initial.populations, np.empty((4, taus.size))
+        ends = np.cumsum(counts).tolist()
+        p0, pops = _TEN.populations, np.empty((4, taus.size))
         for prop, lo, hi in zip(self.props, [0, *ends], ends):
             if hi > lo:
                 pops[:, lo:hi] = prop.propagate(p0, taus[lo:hi])
         # in place, each product with its operands in the order of a one-set call
         c_as = np.repeat(self.coherent, counts)
         np.multiply(c_as, taus, out=c_as)
-        np.multiply(initial.c_as, np.exp(c_as, out=c_as), out=c_as)
-        c_ge = np.repeat(self.damped, counts)
-        np.multiply(c_ge, taus, out=c_ge)
-        np.multiply(np.abs(initial.c_ge), np.exp(c_ge, out=c_ge), out=c_ge)
-        return x_concurrence(*pops, c_as, c_ge, initial.tol)[2]
+        np.multiply(_TEN.c_as, np.exp(c_as, out=c_as), out=c_as)
+        return x_concurrence(*pops, c_as, 0.0, _TEN.tol)[2]  # c_ge = 0 from |10>
 
 
 _SECTION_POINTS = np.arange(_SECTIONS + 1.0)
@@ -190,7 +185,7 @@ class _Row(NamedTuple):
         return self.m + (_TAIL_SAMPLES if self.tailed else 1)
 
 
-def _plan(coeffs: CoefficientSet, state0: XState, horizon: float) -> _Row:
+def _plan(coeffs: CoefficientSet, horizon: float) -> _Row:
     """Search grid on [0, horizon]: the points of linspace(0, horizon, n + 1)
     (SAMPLES_PER_SCALE per time scale) up to the coherence window W, where
     the c_as bound 2|c_as(0)| exp(-4 a1 t) on the concurrence falls to 1e-13,
@@ -206,7 +201,7 @@ def _plan(coeffs: CoefficientSet, state0: XState, horizon: float) -> _Row:
     if count == math.inf:
         raise ConvergenceError(f"horizon {horizon:.3g} needs more grid points than a float counts")
     n = max(math.ceil(count), 100)
-    c0 = max(2.0 * abs(state0.c_as), 1e-13)
+    c0 = max(2.0 * abs(_TEN.c_as), 1e-13)
     window = math.log(c0 / 1e-13) / (4.0 * coeffs.a1) if coeffs.a1 > 0.0 else horizon
     dt = horizon / n
     m = min(n, math.ceil(max(window, scale) / dt))
@@ -232,12 +227,12 @@ def _search_grids(rows) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _search(rows, state0: XState, tol: float) -> list:
+def _search(rows, tol: float) -> list:
     """(tau_star, c_max) of every planned row, in one pass: one scan of the
     concatenated search grids, then one _refine over every local bracket;
     raises what any row raises, before any row warns that its maximum sits
     at the horizon."""
-    concurrence = _Trajectories([row.coeffs for row in rows], state0).concurrence
+    concurrence = _Trajectories([row.coeffs for row in rows]).concurrence
     sizes = [row.size for row in rows]
     ends = np.cumsum(sizes)
     taus = _search_grids(rows)
@@ -287,8 +282,7 @@ def _check_tol(tol: float):
         raise DomainError(f"tol must lie in [1e-10, 1e-4], got {tol}")
 
 
-def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8,
-                     initial="ten") -> list:
+def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8) -> list:
     """`max_concurrence` of every coefficient set in one call: its
     (tau_star, c_max), or the error its own call would raise.
 
@@ -300,24 +294,22 @@ def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8
     its own call, whatever else it is with.
     """
     _check_tol(tol)
-    state0 = prepare_initial(initial)
 
     def plan(sets):
-        horizons = default_horizons(sets, state0) if horizon is None else [horizon] * len(sets)
-        return [_plan(coeffs, state0, h) for coeffs, h in zip(sets, horizons)]
+        horizons = default_horizons(sets, _TEN) if horizon is None else [horizon] * len(sets)
+        return [_plan(coeffs, h) for coeffs, h in zip(sets, horizons)]
 
     planned = each_or_alone(plan, list(coeff_sets))
     rows = [row for row in planned if isinstance(row, _Row)]
-    search = partial(_search, state0=state0, tol=tol)
+    search = partial(_search, tol=tol)
     searched = iter([found for chunk in _chunks(rows) for found in each_or_alone(search, chunk)])
     return [next(searched) if isinstance(row, _Row) else row for row in planned]
 
 
-def max_concurrence(params: SystemParams, horizon: float | None = None,
-                    tol: float = 1e-8, *, coeffs: CoefficientSet | None = None,
-                    initial="ten") -> tuple[float, float]:
+def max_concurrence(params: SystemParams, horizon: float | None = None, tol: float = 1e-8,
+                    *, coeffs: CoefficientSet | None = None) -> tuple[float, float]:
     """Global maximum of the concurrence over [0, horizon] for an evolution
-    started from `initial` (default the separable '10' state).
+    started from the separable '10' state, the paper's initial state.
 
     Scans a grid that is uniform (SAMPLES_PER_SCALE points per
     oscillation/decay scale) over the coherence window and geometric beyond
@@ -331,7 +323,7 @@ def max_concurrence(params: SystemParams, horizon: float | None = None,
     _check_tol(tol)
     if coeffs is None:
         coeffs = compute_coefficients(params)
-    result = max_concurrences([coeffs], horizon, tol, initial)[0]
+    result = max_concurrences([coeffs], horizon, tol)[0]
     if isinstance(result, Exception):
         raise result
     return result

@@ -119,19 +119,15 @@ class EvolutionResult:
 
 
 # |10> = (|S> + |A>)/sqrt(2): equal populations with full coherence
-_NAMED_STATES = {"ten": XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5, c_as=0.5),
-                 "bell_A": XState(p_gg=0.0, p_ee=0.0, p_aa=1.0, p_ss=0.0),
-                 "bell_S": XState(p_gg=0.0, p_ee=0.0, p_aa=0.0, p_ss=1.0)}
+_TEN = XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5, c_as=0.5)
 
 
 def prepare_initial(label) -> XState:
-    """Initial states: 'ten' (atom 1 excited, atom 2 ground), the Bell basis
-    states 'bell_A'/'bell_S' (each built once), or a custom XState."""
-    if isinstance(label, XState):
-        return label
-    if isinstance(label, str) and label in _NAMED_STATES:
-        return _NAMED_STATES[label]
-    raise DomainError(f"unknown initial state label {label!r}")
+    """The paper's initial state 'ten' (atom 1 excited, atom 2 ground),
+    built once; DomainError for any other label."""
+    if not isinstance(label, str) or label != "ten":
+        raise DomainError(f"unknown initial state label {label!r}")
+    return _TEN
 
 
 def population_generator(coeffs: CoefficientSet) -> np.ndarray:

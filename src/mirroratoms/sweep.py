@@ -95,9 +95,10 @@ class SweepSpec:
                               f"{exc}") from None
         if not grid:
             raise DomainError("grid must be nonempty")
-        if not all(math.isfinite(g) for g in grid):
+        values = np.array(grid)
+        if not np.isfinite(values).all():
             raise DomainError("grid values must be finite")
-        if any(g2 <= g1 for g1, g2 in zip(grid, grid[1:])):
+        if (values[1:] <= values[:-1]).any():  # rejects -0.0 after 0.0 too
             raise DomainError("grid must be strictly increasing")
         if not _admissible(self.axis, grid[0]):
             raise DomainError(f"grid values out of range for axis {self.axis}")

@@ -381,6 +381,22 @@ def test_public_surface_is_pinned_and_loads_no_oracle():
     assert done.stdout.strip() == "[]"
 
 
+def test_parser_is_built_once_and_carries_nothing_between_calls(capsys):
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    no_d, plain = ["coefficients", *ANCHOR, "--no-d"], ["coefficients", *ANCHOR]
+    alone = []
+    for argv in (no_d, plain):
+        build_parser.cache_clear()
+        alone.append(run(argv))
+    build_parser.cache_clear()
+    assert [run(no_d), run(plain)] == alone
+    assert build_parser.cache_info().misses == 1
+    assert "d = 0\n" in alone[0] and "d = 0\n" not in alone[1]
+
+
 def test_argparse_errors_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["figure", "11"])

@@ -1,5 +1,6 @@
 """Concurrence measures, generation rate, and the maximum-of-concurrence search."""
 
+import inspect
 import math
 import warnings
 
@@ -29,8 +30,10 @@ import reference as ref
 # --- concurrence_x -----------------------------------------------------------
 
 def test_bell_state_is_maximally_entangled():
-    assert concurrence_x(prepare_initial("bell_A")).value == pytest.approx(1.0, abs=1e-15)
-    assert concurrence_x(prepare_initial("bell_S")).value == pytest.approx(1.0, abs=1e-15)
+    bell_a = XState(p_gg=0.0, p_ee=0.0, p_aa=1.0, p_ss=0.0)
+    bell_s = XState(p_gg=0.0, p_ee=0.0, p_aa=0.0, p_ss=1.0)
+    assert concurrence_x(bell_a).value == pytest.approx(1.0, abs=1e-15)
+    assert concurrence_x(bell_s).value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ten_state_is_separable(anchor_params):
@@ -155,7 +158,7 @@ def test_general_rejects_bad_input():
 # --- to_product_matrix ----------------------------------------------------------
 
 def test_antisymmetric_bell_in_product_basis():
-    rho = to_product_matrix(prepare_initial("bell_A"))
+    rho = to_product_matrix(XState(p_gg=0.0, p_ee=0.0, p_aa=1.0, p_ss=0.0))
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = expected[2, 2] = 0.5
     expected[1, 2] = expected[2, 1] = -0.5
@@ -273,10 +276,12 @@ def test_max_concurrence_zero_without_generation():
     assert (tau_star, c_max) == (0.0, 0.0)
 
 
-def test_max_concurrence_bell_initial_decays(anchor_params):
-    tau_star, c_max = max_concurrence(anchor_params, initial="bell_A")
-    assert tau_star == 0.0
-    assert c_max == pytest.approx(1.0, abs=1e-12)
+def test_max_concurrence_searches_from_ten_only(anchor_params):
+    # the paper's one initial state is a constant of the search, not a parameter
+    for search in (max_concurrence, max_concurrences):
+        assert "initial" not in inspect.signature(search).parameters
+    with pytest.raises(TypeError):
+        max_concurrence(anchor_params, initial="ten")
 
 
 def test_max_concurrence_coupling_never_hurts():
@@ -468,16 +473,15 @@ def _coeffs_at(dims, with_d):
 @given(point=figure_point())
 def test_max_concurrence_bounds_its_own_grid(point):
     coeffs = _coeffs_at(*point)
-    state0 = prepare_initial("ten")
-    taus = _search_grids([_plan(coeffs, state0, default_horizon(coeffs, state0))])
-    curve = _Trajectories([coeffs], state0).concurrence(taus, [taus.size])
+    taus = _search_grids([_plan(coeffs, default_horizon(coeffs, prepare_initial("ten")))])
+    curve = _Trajectories([coeffs]).concurrence(taus, [taus.size])
     # past the coherence window the grid turns geometric and c_as no longer
     # moves the concurrence by more than 1e-13 (the horizon itself is set
     # exactly, so it may differ from n * dt on a grid with no tail)
     tail = (taus != np.arange(taus.size) * taus[1]) & (taus < taus[-1])
-    incoherent = XState(p_gg=0.0, p_ee=0.0, p_aa=0.5, p_ss=0.5)
-    assert np.all(np.abs(curve[tail] - _Trajectories([coeffs], incoherent).concurrence(
-        taus[tail], [tail.sum()])) <= 1e-13)
+    if tail.any():
+        incoherent = evolve_closed(XState(0.0, 0.0, 0.5, 0.5), coeffs, taus[tail])
+        assert np.all(np.abs(curve[tail] - incoherent.concurrence) <= 1e-13)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _, c_max = max_concurrence(None, coeffs=coeffs)

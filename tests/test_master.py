@@ -35,18 +35,19 @@ def test_prepare_initial_ten():
 
 
 def test_prepare_initial_bell_states():
-    a = prepare_initial("bell_A")
+    a = XState(p_gg=0.0, p_ee=0.0, p_aa=1.0, p_ss=0.0)
     assert a.trace == pytest.approx(1.0, abs=1e-15)
     assert a.p_aa == 1.0
-    s = prepare_initial("bell_S")
+    s = XState(p_gg=0.0, p_ee=0.0, p_aa=0.0, p_ss=1.0)
     assert s.p_ss == 1.0
 
 
-def test_prepare_initial_custom_passthrough():
+def test_prepare_initial_knows_only_ten():
+    assert prepare_initial("ten") is prepare_initial("ten")
     custom = XState(p_gg=0.3, p_ee=0.1, p_aa=0.4, p_ss=0.2, c_as=0.1j)
-    assert prepare_initial(custom) is custom
-    with pytest.raises(DomainError):
-        prepare_initial("eleven")
+    for label in ("bell_A", "bell_S", "eleven", custom):
+        with pytest.raises(DomainError):
+            prepare_initial(label)
 
 
 def test_ground_state_is_inertial_fixed_point():
