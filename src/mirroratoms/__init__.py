@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (ConvergenceError, DegenerateKernelError, DomainError,
                      InvariantError)
-from .correlations import CoefficientSet, SystemParams, compute_coefficients, coth
+from .correlations import CoefficientSet, SystemParams, compute_coefficients
 from .evolution import (EvolutionResult, XState, default_horizon, default_time_grid,
                         evolve_closed, population_generator, prepare_initial)
 from .concurrence import (ConcurrenceReport, GenerationReport, concurrence_x,
@@ -18,7 +18,7 @@ __all__ = [
     "DegenerateKernelError", "DomainError", "EvolutionResult",
     "GenerationReport", "InvariantError", "SweepResult", "SweepRow",
     "SweepSpec", "SystemParams", "XState", "compute_coefficients",
-    "concurrence_x", "coth", "default_horizon", "default_time_grid", "emit",
+    "concurrence_x", "default_horizon", "default_time_grid", "emit",
     "evolve_closed", "generation_rate", "load_result", "max_concurrence",
     "max_concurrences", "population_generator", "prepare_initial", "preset",
     "run_sweep",

@@ -239,7 +239,7 @@ def _point_columns(spec: SweepSpec) -> Columns:
 
     def coefficients(points):
         dims = {**spec.fixed, spec.axis: grid[points]}
-        return _coefficients(1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
+        return _coefficients(dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
 
     table = np.full((5, n), np.nan)  # NaN where the coefficients fail
     failed = _filled(table, coefficients, n)
@@ -272,7 +272,7 @@ def _tau_columns(spec: SweepSpec) -> Columns:
     marks every row. Every row holds the same a1..b2 objects."""
     n, dims = len(spec.grid), spec.fixed
     try:
-        full = _coefficients(1.0, dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
+        full = _coefficients(dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
     except NUMERICAL_ERRORS as exc:
         nothing = [None] * n
         return _columns(spec, dict.fromkeys(spec.variants, nothing), [nothing] * 4,

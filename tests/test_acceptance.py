@@ -19,7 +19,7 @@ from oracles import (concurrence_general, evolve_numeric, image_wightman_ft_orac
                      to_product_matrix)
 import reference as ref
 
-ANCHOR = SystemParams(omega=1.0, accel=1.0, z=0.4, l=0.3)
+ANCHOR = SystemParams(accel=1.0, z=0.4, l=0.3)
 
 
 def _report(num, ok, text):
@@ -81,7 +81,7 @@ def test_criterion_04_conservation_suite(solver_draws):
     draws, _ = solver_draws
     states = [s for _, num, clo in draws for s in (*num.states, *clo.states)]
     for z in (0.4, 2.0, 20.0):
-        coeffs = compute_coefficients(SystemParams(1.0, 1.0, z=z, l=0.3))
+        coeffs = compute_coefficients(SystemParams(1.0, z=z, l=0.3))
         states.append(steady_state(coeffs))
     trace_drift = max(abs(s.trace - 1.0) for s in states)
     breach = max(max(abs(s.c_as) ** 2 - s.p_aa * s.p_ss,
@@ -117,7 +117,7 @@ def test_criterion_06_unruh_thermal_steady_state():
     worst = 0.0
     for z in (0.4, 2.0, 20.0):
         for l in (0.3, 3.0, 30.0):
-            coeffs = compute_coefficients(SystemParams(1.0, 1.0, z=z, l=l))
+            coeffs = compute_coefficients(SystemParams(1.0, z=z, l=l))
             for c in (coeffs, coeffs.without_d()):
                 s = steady_state(c)
                 worst = max(worst, np.max(np.abs(s.populations - gibbs)))
@@ -142,9 +142,9 @@ def test_criterion_07_concurrence_oracle_equivalence():
 
 def test_criterion_08_finite_difference_rate():
     points = [ANCHOR,
-              SystemParams(1.0, 0.5, z=0.5, l=0.4),
-              SystemParams(1.0, 1.0, z=1.0, l=0.5),
-              SystemParams(1.0, 0.1, z=0.4, l=0.5)]
+              SystemParams(0.5, z=0.5, l=0.4),
+              SystemParams(1.0, z=1.0, l=0.5),
+              SystemParams(0.1, z=0.4, l=0.5)]
     delta = 1e-6
     checked, worst = 0, 0.0
     for p in points:

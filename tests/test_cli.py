@@ -303,7 +303,7 @@ def test_inertial_limit_runs_in_every_command(capsys, command, fmt):
         assert main([*argv, "--format", fmt]) == 0
         assert capsys.readouterr().out
         return
-    exact = compute_coefficients(SystemParams(1.0, 0.0, 0.4, 0.3))
+    exact = compute_coefficients(SystemParams(0.0, 0.4, 0.3))
     rows = _rows(capsys, argv, fmt)
     assert rows and not any(row["error_marker"] for row in rows)
     for row in rows:
@@ -326,9 +326,14 @@ def test_failing_configuration_exits_3_and_writes_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_readme_flags_are_accepted_by_the_parser():
-    # a removed flag must not linger in the synopsis
+def test_readme_flags_are_accepted_by_the_parser(capsys):
+    # a removed flag must not linger in the synopsis, nor a removed field or
+    # argument in the library example, which runs as printed
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    with_d, without_d = capsys.readouterr().out.split()
+    assert with_d.startswith("2.4147") and float(without_d) < float(with_d)
     block = readme.split("## Command line", 1)[1].split("```")[1]
     commands = [line.split() for line in block.splitlines() if line.startswith("mirroratoms ")]
     subparsers = next(a for a in build_parser()._actions
@@ -359,7 +364,7 @@ _PUBLIC = {
     "CoefficientSet", "ConcurrenceReport", "ConvergenceError", "DegenerateKernelError",
     "DomainError", "EvolutionResult", "GenerationReport", "InvariantError", "SweepResult",
     "SweepRow", "SweepSpec", "SystemParams", "XState", "compute_coefficients",
-    "concurrence_x", "coth", "default_horizon", "default_time_grid", "emit",
+    "concurrence_x", "default_horizon", "default_time_grid", "emit",
     "evolve_closed", "generation_rate", "load_result", "max_concurrence",
     "max_concurrences", "population_generator", "prepare_initial", "preset", "run_sweep",
 }

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirroratoms import (CoefficientSet, DomainError, SystemParams, compute_coefficients,
-                         coth)
+from mirroratoms import CoefficientSet, DomainError, SystemParams, compute_coefficients
 from mirroratoms.concurrence import _generation_rate, generation_rate
-from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernels
+from mirroratoms.correlations import INERTIAL_SWITCH, _coefficients, _kernels, coth
 from mirroratoms.sweep import preset
 
 import float_reference as float_ref
@@ -33,43 +32,42 @@ def test_frozen_anchors_match_recomputed_oracle():
     assert float(ref.rate_hp(1, 1, 0.4, 0.3)) == pytest.approx(ref.FROZEN["rate"], rel=1e-14)
 
 
-def _kernel_pair(omega, accel, d) -> tuple:
+def _kernel_pair(accel, d) -> tuple:
     """(f, h) at one distance, from the array kernels the coefficients use."""
-    f, h = _kernels(*(np.array([x], dtype=float) for x in (omega, accel, d)))
+    f, h = _kernels(*(np.array([x], dtype=float) for x in (accel, d)))
     return float(f[0]), float(h[0])
 
 
-def kernel_f(omega, accel, d) -> float:
-    return _kernel_pair(omega, accel, d)[0]
+def kernel_f(accel, d) -> float:
+    return _kernel_pair(accel, d)[0]
 
 
-def kernel_h(omega, accel, d) -> float:
-    return _kernel_pair(omega, accel, d)[1]
+def kernel_h(accel, d) -> float:
+    return _kernel_pair(accel, d)[1]
 
 
 # --- kernel_f -----------------------------------------------------------
 
 def test_kernel_f_anchor():
-    val = kernel_f(1.0, 1.0, 0.4)
+    val = kernel_f(1.0, 0.4)
     assert val == pytest.approx(0.8163, abs=1e-3)
     assert val == pytest.approx(ref.FROZEN["f_1_1_04"], rel=1e-13)
 
 
 def test_kernel_f_sinc_limit_at_zero_distance():
-    assert kernel_f(1.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
+    assert kernel_f(1.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_f_inertial_zero_of_sinc():
-    assert kernel_f(1.0, 0.0, math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
+    assert kernel_f(0.0, math.pi / 2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kernel_f_bounded():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        om = rng.uniform(0.2, 3.0)
         a = rng.uniform(0.0, 3.0)
         d = np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))
-        val = kernel_f(om, a, d)
+        val = kernel_f(a, d)
         assert -1.0 <= val <= 1.0
         assert 0.0 <= 1.0 - val <= 2.0
 
@@ -77,103 +75,94 @@ def test_kernel_f_bounded():
 # --- kernel_h -----------------------------------------------------------
 
 def test_kernel_h_anchors():
-    assert kernel_h(1.0, 1.0, 0.15) == pytest.approx(3.1503, abs=1e-3)
-    assert kernel_h(1.0, 1.0, 0.15) == pytest.approx(ref.FROZEN["h_1_1_015"], rel=1e-13)
-    assert kernel_h(1.0, 1.0, 0.4) == pytest.approx(0.8250, abs=1e-3)
-    assert kernel_h(1.0, 1.0, 0.4) == pytest.approx(ref.FROZEN["h_1_1_04"], rel=1e-13)
+    assert kernel_h(1.0, 0.15) == pytest.approx(3.1503, abs=1e-3)
+    assert kernel_h(1.0, 0.15) == pytest.approx(ref.FROZEN["h_1_1_015"], rel=1e-13)
+    assert kernel_h(1.0, 0.4) == pytest.approx(0.8250, abs=1e-3)
+    assert kernel_h(1.0, 0.4) == pytest.approx(ref.FROZEN["h_1_1_04"], rel=1e-13)
 
 
 def test_kernel_h_decays_at_large_distance():
-    assert abs(kernel_h(1.0, 1.0, 1e6)) < 1e-6
-    assert abs(kernel_h(2.0, 0.5, 1e7)) < 1e-6
+    assert abs(kernel_h(1.0, 1e6)) < 1e-6
+    assert abs(kernel_h(0.25, 2e7)) < 1e-6
 
 
 @pytest.mark.parametrize("kernel", [kernel_f, kernel_h])
-@pytest.mark.parametrize("bad", [dict(omega=0.0, accel=1.0, d=0.4),
-                                 dict(omega=-1.0, accel=1.0, d=0.4),
-                                 dict(omega=1.0, accel=1.0, d=0.0),
-                                 dict(omega=1.0, accel=1.0, d=-0.2),
-                                 dict(omega=1.0, accel=-1.0, d=0.4)])
+@pytest.mark.parametrize("bad", [dict(accel=1.0, d=0.0),
+                                 dict(accel=1.0, d=-0.2),
+                                 dict(accel=-1.0, d=0.4)])
 def test_kernel_domain_errors(kernel, bad):
     with pytest.raises(DomainError):
-        kernel(bad["omega"], bad["accel"], bad["d"])
+        kernel(bad["accel"], bad["d"])
 
 
 def test_kernels_even_in_frequency():
-    # the library rejects omega <= 0, so evenness is checked on the raw
-    # closed form the kernels implement
+    # the library fixes omega = 1, so evenness is checked on the raw closed
+    # form the kernels implement, at omega = -1
     def raw_f(om, a, d):
         return math.sin((2 * om / a) * math.asinh(a * d)) / (
             2 * om * d * math.sqrt(a * a * d * d + 1))
 
     rng = np.random.default_rng(11)
     for _ in range(50):
-        om = rng.uniform(0.2, 3.0)
         a = rng.uniform(0.1, 3.0)
         d = rng.uniform(0.05, 20.0)
-        assert raw_f(-om, a, d) == pytest.approx(kernel_f(om, a, d), rel=1e-12)
+        assert raw_f(-1.0, a, d) == pytest.approx(kernel_f(a, d), rel=1e-12)
 
 
 def test_pythagorean_kernel_identity():
-    # f^2 + h^2 = [2 omega d sqrt(a^2 d^2 + 1)]^(-2)
+    # f^2 + h^2 = [2 d sqrt(a^2 d^2 + 1)]^(-2)
     rng = np.random.default_rng(13)
     for _ in range(200):
-        om = rng.uniform(0.2, 3.0)
         a = rng.uniform(0.1, 3.0)
         d = np.exp(rng.uniform(np.log(0.01), np.log(100.0)))
-        lhs = kernel_f(om, a, d) ** 2 + kernel_h(om, a, d) ** 2
-        rhs = 1.0 / (2.0 * om * d * math.sqrt(a * a * d * d + 1.0)) ** 2
+        lhs = kernel_f(a, d) ** 2 + kernel_h(a, d) ** 2
+        rhs = 1.0 / (2.0 * d * math.sqrt(a * a * d * d + 1.0)) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_inertial_branch_continuity():
     # closed-form accelerated evaluation vs analytic a -> 0 branch at
     # a*d = 1e-4; tolerance is relative for h, which is unbounded near d = 0
-    for om in (0.5, 1.0, 2.0):
-        for d in (0.3, 1.0, 5.0):
-            a = 1e-4 / d
-            assert kernel_f(om, a, d) == pytest.approx(kernel_f(om, 0.0, d),
-                                                       rel=1e-8, abs=1e-8)
-            assert kernel_h(om, a, d) == pytest.approx(kernel_h(om, 0.0, d),
-                                                       rel=1e-8, abs=1e-8)
+    for d in (0.15, 0.3, 0.5, 0.6, 1.0, 2.0, 2.5, 5.0, 10.0):
+        a = 1e-4 / d
+        assert kernel_f(a, d) == pytest.approx(kernel_f(0.0, d), rel=1e-8, abs=1e-8)
+        assert kernel_h(a, d) == pytest.approx(kernel_h(0.0, d), rel=1e-8, abs=1e-8)
 
 
 @pytest.mark.parametrize("kernel", [kernel_f, kernel_h])
 def test_inertial_branch_agreement_bound(kernel):
     # the accelerated form departs from the inertial one at second order in
-    # a*d: by at most (a*d)^2 (omega*d/3 + 1/2) in units of the envelope
-    # 1/(2 omega d), from just above INERTIAL_SWITCH up to a*d = 1e-4
+    # a*d: by at most (a*d)^2 (d/3 + 1/2) in units of the envelope 1/(2d),
+    # from just above INERTIAL_SWITCH up to a*d = 1e-4
     for ad in (INERTIAL_SWITCH * (1.0 + 1e-9), 1e-5, 1e-4):
-        for om in (0.5, 1.0, 2.0):
-            for d in np.geomspace(0.01, 100.0, 41):
-                diff = abs(kernel(om, ad / d, d) - kernel(om, 0.0, d)) * 2.0 * om * d
-                assert diff <= 1.01 * ad * ad * (om * d / 3.0 + 0.5) + 1e-14
+        for d in np.geomspace(0.005, 200.0, 121):
+            diff = abs(kernel(ad / d, d) - kernel(0.0, d)) * 2.0 * d
+            assert diff <= 1.01 * ad * ad * (d / 3.0 + 0.5) + 1e-14
 
 
 def _bits(*values):
     return [float.hex(v) for v in values]
 
 
-def _separate_kernels(omega, accel, d):
+def _separate_kernels(accel, d):
     """kernel_f and kernel_h each written out on its own, as in the docstrings:
     the shared phase and denominator must not change a bit of either."""
     if accel * d < INERTIAL_SWITCH:
-        x = 2.0 * omega * d
-        return math.sin(x) / x, math.cos(2.0 * omega * d) / (2.0 * omega * d)
-    return (math.sin((2.0 * omega / accel) * math.asinh(accel * d))
-            / (2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)),
-            math.cos((2.0 * omega / accel) * math.asinh(accel * d))
-            / (2.0 * omega * d * math.sqrt(accel * accel * d * d + 1.0)))
+        x = 2.0 * d
+        return math.sin(x) / x, math.cos(2.0 * d) / (2.0 * d)
+    return (math.sin((2.0 / accel) * math.asinh(accel * d))
+            / (2.0 * d * math.sqrt(accel * accel * d * d + 1.0)),
+            math.cos((2.0 / accel) * math.asinh(accel * d))
+            / (2.0 * d * math.sqrt(accel * accel * d * d + 1.0)))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(omega=st.floats(1e-3, 1e3), d=st.floats(1e-6, 1e4),
-       accel=st.one_of(st.just(0.0), st.floats(0.0, 1e2)), near_switch=st.booleans(),
-       ratio=st.floats(0.5, 2.0))
-def test_kernel_pair_is_bitwise_kernel_f_and_h(omega, d, accel, near_switch, ratio):
+@given(d=st.floats(1e-6, 1e4), accel=st.one_of(st.just(0.0), st.floats(0.0, 1e2)),
+       near_switch=st.booleans(), ratio=st.floats(0.5, 2.0))
+def test_kernel_pair_is_bitwise_kernel_f_and_h(d, accel, near_switch, ratio):
     if near_switch:  # accel*d within a factor 2 of INERTIAL_SWITCH, either side
         accel = ratio * INERTIAL_SWITCH / d
-    assert _bits(*_kernel_pair(omega, accel, d)) == _bits(*_separate_kernels(omega, accel, d))
+    assert _bits(*_kernel_pair(accel, d)) == _bits(*_separate_kernels(accel, d))
 
 
 def test_kernel_pair_takes_both_branches_at_the_switch():
@@ -181,20 +170,20 @@ def test_kernel_pair_takes_both_branches_at_the_switch():
     below, above = INERTIAL_SWITCH * (1.0 - 1e-12) / d, INERTIAL_SWITCH / d
     assert below * d < INERTIAL_SWITCH <= above * d
     for accel in (0.0, below, above):
-        assert _bits(*_kernel_pair(1.3, accel, d)) == _bits(*_separate_kernels(1.3, accel, d))
+        assert _bits(*_kernel_pair(accel, d)) == _bits(*_separate_kernels(accel, d))
     with pytest.raises(DomainError):
-        _kernel_pair(1.0, 1.0, 0.0)
+        _kernel_pair(1.0, 0.0)
 
 
-def _coefficients_by_kernel(om, a, z, l):
+def _coefficients_by_kernel(a, z, l):
     """The five rates of compute_coefficients' docstring, written out from
     the public kernels."""
-    thermal = coth(math.pi * om / a) if a > 0.0 else 1.0
+    thermal = coth(math.pi / a) if a > 0.0 else 1.0
     diag = math.sqrt(l * l / 4.0 + z * z)
-    self_ = 1.0 - kernel_f(om, a, z)
-    cross = kernel_f(om, a, l / 2.0) - kernel_f(om, a, diag)
+    self_ = 1.0 - kernel_f(a, z)
+    cross = kernel_f(a, l / 2.0) - kernel_f(a, diag)
     return (0.25 * thermal * self_, 0.25 * thermal * cross, 0.25 * self_, 0.25 * cross,
-            0.25 * (kernel_h(om, a, l / 2.0) - kernel_h(om, a, diag)))
+            0.25 * (kernel_h(a, l / 2.0) - kernel_h(a, diag)))
 
 
 _DISTANCE = st.floats(1e-3, 1e4)
@@ -212,10 +201,10 @@ def test_float_level_kernels_are_bitwise_their_wrappers(z, l, accel, branch, rat
     elif branch == "switch":
         d = {"z": z, "l/2": l / 2.0, "diag": math.sqrt(l * l / 4.0 + z * z)}[at]
         accel = ratio * INERTIAL_SWITCH / d
-    values = _coefficients(1.0, accel, z, l)
-    coeffs = compute_coefficients(SystemParams(omega=1.0, accel=accel, z=z, l=l))
+    values = _coefficients(accel, z, l)
+    coeffs = compute_coefficients(SystemParams(accel=accel, z=z, l=l))
     assert _bits(*values) == _bits(*dataclasses.astuple(coeffs)) == \
-        _bits(*_coefficients_by_kernel(1.0, accel, z, l))
+        _bits(*_coefficients_by_kernel(accel, z, l))
     for c in (coeffs, coeffs.without_d()):
         assert _bits(_generation_rate(c.a1, c.a2, c.b1, c.d)) == \
             _bits(generation_rate(c).rate) == \
@@ -237,7 +226,7 @@ def test_float_level_rate_and_wrapper_raise_the_same_disc_error(b1, ratio, a2, d
 def test_float_level_coefficients_raise_the_wrapper_errors():
     for z, l in ((1e155, 0.3), (0.4, 1e200)):  # the diagonal distance overflows
         with pytest.raises(DomainError, match="d must be > 0, got inf") as bare:
-            _coefficients(1.0, 1.0, z, l)
+            _coefficients(1.0, z, l)
         with pytest.raises(DomainError) as wrapped:
             compute_coefficients(SystemParams.from_dimensionless(z, 1.0, l))
         assert str(bare.value) == str(wrapped.value)
@@ -279,13 +268,12 @@ def _assert_array_kernels_match_the_reference(points):
     """_kernels at the three distances of each point, _coefficients, and
     _generation_rate of both variants of every point, bit for bit."""
     a, z, l = (np.array(c, dtype=float) for c in zip(*points))
-    ones = np.ones(a.size)
     with np.errstate(all="ignore"):
         distances = np.concatenate([l / 2.0, np.sqrt(l * l / 4.0 + z * z), z])
-    _assert_elementwise(_kernels, float_ref.kernel_pair,
-                        (np.tile(ones, 3), np.tile(a, 3), distances))
-    _assert_elementwise(lambda *c: _coefficients(1.0, *c),
-                        lambda *c: float_ref.coefficients(1.0, *c), (a, z, l))
+    _assert_elementwise(_kernels, lambda *c: float_ref.kernel_pair(1.0, *c),
+                        (np.tile(a, 3), distances))
+    _assert_elementwise(_coefficients, lambda *c: float_ref.coefficients(1.0, *c),
+                        (a, z, l))
     coeffs = [_reference(float_ref.coefficients, 1.0, *p) for p in points]
     rows = np.array([c for c in coeffs if not isinstance(c, DomainError)]).reshape(-1, 5)
     for d in (rows[:, 4], np.zeros(len(rows))):
@@ -435,13 +423,13 @@ def test_coefficient_anchor(anchor_params):
 
 
 def test_coefficients_far_separation_limit():
-    c = compute_coefficients(SystemParams(omega=1.0, accel=1.0, z=0.4, l=1e9))
+    c = compute_coefficients(SystemParams(accel=1.0, z=0.4, l=1e9))
     assert abs(c.a2) < 1e-9 and abs(c.b2) < 1e-9 and abs(c.d) < 1e-9
     assert c.a1 > 0.0
 
 
 def test_coefficients_far_boundary_limit():
-    c = compute_coefficients(SystemParams(omega=1.0, accel=1.0, z=1e9, l=0.3))
+    c = compute_coefficients(SystemParams(accel=1.0, z=1e9, l=0.3))
     assert c.a1 == pytest.approx(coth(math.pi) / 4.0, rel=1e-9)
     assert c.b1 == pytest.approx(0.25, rel=1e-9)
 
@@ -449,10 +437,10 @@ def test_coefficients_far_boundary_limit():
 def test_detailed_balance_ratio_of_coefficients():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        p = SystemParams(omega=rng.uniform(0.5, 2.0), accel=rng.uniform(0.1, 3.0),
-                         z=rng.uniform(0.1, 30.0), l=rng.uniform(0.1, 10.0))
+        p = SystemParams(accel=rng.uniform(0.1, 3.0), z=rng.uniform(0.1, 30.0),
+                         l=rng.uniform(0.1, 10.0))
         c = compute_coefficients(p)
-        t = math.tanh(math.pi * p.omega / p.accel)
+        t = math.tanh(math.pi / p.accel)
         assert c.b1 / c.a1 == pytest.approx(t, rel=1e-12)
         if c.a2 != 0.0:
             assert c.b2 / c.a2 == pytest.approx(t, rel=1e-12)
@@ -460,23 +448,33 @@ def test_detailed_balance_ratio_of_coefficients():
         assert c.a1 ** 2 - c.b1 ** 2 >= 0.0
 
 
+def test_oracle_rates_scale_with_omega_through_the_dimensionless_inputs():
+    # the engine works in units of omega; the 60-digit oracle keeps omega,
+    # and its rates at (omega, a, z, L) are those at (1, a/omega, omega*z, omega*L)
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        om = mp.mpf(rng.uniform(0.5, 2.0))
+        a, z, l = rng.uniform(0.1, 3.0), rng.uniform(0.1, 30.0), rng.uniform(0.1, 10.0)
+        scaled = ref.coefficients_hp(1, a / om, om * z, om * l)
+        for got, want in zip(ref.coefficients_hp(om, a, z, l), scaled):
+            assert abs(got - want) <= mp.mpf("1e-50") * abs(want)
+
+
 def test_system_params_validation():
     with pytest.raises(DomainError):
-        SystemParams(omega=0.0, accel=1.0, z=0.4, l=0.3)
+        SystemParams(accel=-0.1, z=0.4, l=0.3)
     with pytest.raises(DomainError):
-        SystemParams(omega=1.0, accel=-0.1, z=0.4, l=0.3)
+        SystemParams(accel=1.0, z=-0.4, l=0.3)
     with pytest.raises(DomainError):
-        SystemParams(omega=1.0, accel=1.0, z=-0.4, l=0.3)
-    with pytest.raises(DomainError):
-        SystemParams(omega=1.0, accel=1.0, z=0.4, l=0.0)
+        SystemParams(accel=1.0, z=0.4, l=0.0)
     p = SystemParams.from_dimensionless(z_omega=0.8, a_over_omega=0.5, l_omega=0.6)
-    assert p == SystemParams(omega=1.0, accel=0.5, z=0.8, l=0.6)
+    assert p == SystemParams(accel=0.5, z=0.8, l=0.6) == SystemParams(0.5, 0.8, 0.6)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-@pytest.mark.parametrize("field", ["omega", "accel", "z", "l"])
+@pytest.mark.parametrize("field", ["accel", "z", "l"])
 def test_system_params_names_each_bad_field(field, bad):
-    values = {"omega": 1.0, "accel": 1.0, "z": 0.4, "l": 0.3}
+    values = {"accel": 1.0, "z": 0.4, "l": 0.3}
     if field == "accel" and bad == 0.0:
         assert SystemParams(**{**values, "accel": bad}).accel == 0.0
         assert SystemParams(**{**values, "accel": -0.0}).accel == 0.0

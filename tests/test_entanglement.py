@@ -257,7 +257,7 @@ def test_k1_closed_additional_term_vanishes_on_lattice(anchor_params):
 
 
 def test_k1_closed_consistent_with_evolved_states():
-    p = SystemParams(omega=1.0, accel=0.1, z=0.4, l=0.5)
+    p = SystemParams(accel=0.1, z=0.4, l=0.5)
     c = compute_coefficients(p)
     taus = np.linspace(0.0, 30.0, 301)
     res = evolve_closed(prepare_initial("ten"), c, taus)
@@ -269,7 +269,7 @@ def test_k1_closed_consistent_with_evolved_states():
 # --- max_concurrence ----------------------------------------------------------------
 
 def test_max_concurrence_zero_without_generation():
-    p = SystemParams(omega=1.0, accel=2.0, z=100.0, l=7.0)
+    p = SystemParams(accel=2.0, z=100.0, l=7.0)
     coeffs = compute_coefficients(p).without_d()
     assert not generation_rate(coeffs).generates
     tau_star, c_max = max_concurrence(p, coeffs=coeffs)
@@ -289,7 +289,7 @@ def test_max_concurrence_coupling_never_hurts():
     # coupling can only lower the maximum; sampled over the l=0.4 survey grid
     for a in (0.1, 1.0):
         for z in (0.4, 1.0, 5.0, 20.0):
-            p = SystemParams(omega=1.0, accel=a, z=z, l=0.4)
+            p = SystemParams(accel=a, z=z, l=0.4)
             c = compute_coefficients(p)
             _, with_d = max_concurrence(p, coeffs=c)
             _, without = max_concurrence(p, coeffs=c.without_d())

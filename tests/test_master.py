@@ -53,7 +53,7 @@ def test_prepare_initial_knows_only_ten():
 def test_ground_state_is_inertial_fixed_point():
     # without acceleration there are no upward rates, so |00><00| is stationary
     ground = XState(p_gg=1.0, p_ee=0.0, p_aa=0.0, p_ss=0.0)
-    c = compute_coefficients(SystemParams(omega=1.0, accel=0.0, z=0.4, l=0.3))
+    c = compute_coefficients(SystemParams(accel=0.0, z=0.4, l=0.3))
     assert np.max(np.abs(_population_rates(ground, c))) < 1e-15
     evolved = evolve_closed(ground, c, [5.0]).states[0]
     assert evolved.p_gg == pytest.approx(1.0, abs=1e-12)
@@ -347,7 +347,7 @@ def test_monotone_coherence_decay(anchor_params):
 # --- evolve_numeric ---------------------------------------------------------
 
 def test_solvers_agree_at_fig5_point():
-    p = SystemParams(omega=1.0, accel=0.1, z=0.4, l=0.5)
+    p = SystemParams(accel=0.1, z=0.4, l=0.5)
     c = compute_coefficients(p)
     num = evolve_numeric(prepare_initial("ten"), c, 10.0, tol=1e-9)
     clo = evolve_closed(prepare_initial("ten"), c, num.times)
@@ -413,7 +413,7 @@ def test_expm_fallback_matches_rk4():
 
 
 def test_steady_state_inertial_is_ground():
-    c = compute_coefficients(SystemParams(omega=1.0, accel=0.0, z=0.4, l=0.3))
+    c = compute_coefficients(SystemParams(accel=0.0, z=0.4, l=0.3))
     s = steady_state(c)
     assert s.p_gg == pytest.approx(1.0, abs=1e-12)
 
@@ -427,8 +427,8 @@ def test_steady_state_matches_gibbs_product(anchor_params):
 
 
 def test_steady_state_independent_of_boundary_distance():
-    near = steady_state(compute_coefficients(SystemParams(1.0, 1.0, z=0.4, l=0.3)))
-    far = steady_state(compute_coefficients(SystemParams(1.0, 1.0, z=20.0, l=0.3)))
+    near = steady_state(compute_coefficients(SystemParams(1.0, z=0.4, l=0.3)))
+    far = steady_state(compute_coefficients(SystemParams(1.0, z=20.0, l=0.3)))
     assert np.max(np.abs(near.populations - far.populations)) < 1e-10
 
 

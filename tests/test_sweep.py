@@ -72,7 +72,7 @@ def test_spec_admits_the_inertial_limit():
                       fixed={"a_over_omega": 0.0, "l_omega": 0.3})
     axis = SweepSpec(axis="a_over_omega", grid=(0.0, 0.5), quantity="rate",
                      fixed={"z_omega": 0.4, "l_omega": 0.3})
-    exact = compute_coefficients(SystemParams(1.0, 0.0, 0.4, 0.3))
+    exact = compute_coefficients(SystemParams(0.0, 0.4, 0.3))
     assert run_sweep(fixed).rows[0].coeffs == exact
     assert run_sweep(axis).rows[0].coeffs == exact
     with pytest.raises(DomainError, match="fixed parameters"):
@@ -220,8 +220,8 @@ def test_coefficients_computed_once_per_grid_point(monkeypatch, quantity):
                      fixed={"a_over_omega": 1.0, "l_omega": 0.3}, quantity=quantity)
     calls = _count_coefficient_calls(monkeypatch)
     result = run_sweep(spec)
-    # one call over the whole grid, whose omega*z is the third argument
-    assert [list(np.atleast_1d(args[2])) for args in calls] == [list(spec.grid)]
+    # one call over the whole grid, whose omega*z is the second argument
+    assert [list(np.atleast_1d(args[1])) for args in calls] == [list(spec.grid)]
     assert len(result.rows) == 2 * len(spec.grid)
     assert all(r.error is None for r in result.rows)
 

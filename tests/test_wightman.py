@@ -6,8 +6,8 @@ import pytest
 
 import numpy as np
 
-from mirroratoms import ConvergenceError, DomainError, SystemParams, coth
-from mirroratoms.correlations import _kernels
+from mirroratoms import ConvergenceError, DomainError, SystemParams
+from mirroratoms.correlations import _kernels, coth
 
 from oracles import default_epsilon_schedule, image_wightman_ft_oracle
 import reference as ref
@@ -15,14 +15,14 @@ import reference as ref
 
 def test_oracle_reproduces_closed_form(anchor_params):
     val = image_wightman_ft_oracle(1.0, anchor_params)
-    f = float(_kernels(np.array([1.0]), np.array([1.0]), np.array([0.4]))[0][0])
+    f = float(_kernels(np.array([1.0]), np.array([0.4]))[0][0])
     closed = -(1.0 / (4.0 * math.pi)) * (coth(math.pi) + 1.0) * f
     assert closed == pytest.approx(ref.FROZEN["image_corr_lam1"], rel=1e-13)
     assert val == pytest.approx(closed, rel=1e-2)
 
 
 def test_oracle_vanishes_far_from_the_mirror():
-    p = SystemParams(omega=1.0, accel=1.0, z=50.0, l=0.3)
+    p = SystemParams(accel=1.0, z=50.0, l=0.3)
     assert abs(image_wightman_ft_oracle(1.0, p)) < 1e-3
 
 
@@ -47,7 +47,7 @@ def test_oracle_schedule_and_window_validation(anchor_params):
         image_wightman_ft_oracle(1.0, anchor_params, epsilon_schedule=[0.1, 0.0, -0.1])
     with pytest.raises(DomainError):
         image_wightman_ft_oracle(0.0, anchor_params)
-    inertial = SystemParams(omega=1.0, accel=0.0, z=0.4, l=0.3)
+    inertial = SystemParams(accel=0.0, z=0.4, l=0.3)
     with pytest.raises(DomainError):
         image_wightman_ft_oracle(1.0, inertial)
 
