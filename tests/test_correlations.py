@@ -87,7 +87,9 @@ def test_kernel_h_decays_at_large_distance():
 
 
 @pytest.mark.parametrize("kernel", [kernel_f, kernel_h])
-@pytest.mark.parametrize("bad", [dict(accel=1.0, d=0.0),
+@pytest.mark.parametrize("bad", [dict(accel=1.0, d=math.nan),
+                                 dict(accel=math.inf, d=0.4),
+                                 dict(accel=1.0, d=0.0),
                                  dict(accel=1.0, d=-0.2),
                                  dict(accel=-1.0, d=0.4)])
 def test_kernel_domain_errors(kernel, bad):
