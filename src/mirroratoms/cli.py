@@ -21,7 +21,7 @@ from .concurrence import TOL_RANGE, GenerationReport, max_concurrence
 from .correlations import SystemParams, compute_coefficients
 from .errors import NUMERICAL_ERRORS, DomainError
 from .evolution import MAX_GRID_POINTS, default_time_grid, tau_horizon
-from .sweep import VARIANTS, SweepResult, SweepSpec, emit, preset, run_sweep
+from .sweep import VARIANTS, SweepResult, SweepSpec, emit, preset, run_sweep, run_sweeps
 
 
 class ConfigError(Exception):
@@ -214,10 +214,14 @@ def cmd_figure(args) -> int:
         raise ConfigError(f"--points must lie in [1, {MAX_GRID_POINTS}], got {args.points}")
     specs = preset(args.number, points=args.points)
     args.out.mkdir(parents=True, exist_ok=True)
+    # the panels of a cmax figure share one search; those of the other
+    # figures have nothing to share and run one by one
+    cmax = any(spec.quantity == "cmax" for spec in specs)
+    results = run_sweeps(specs) if cmax else map(run_sweep, specs)
     written = []
-    for i, spec in enumerate(specs):
+    for i, result in enumerate(results):
         slug = _panel_slug(specs, i)
-        for part in run_sweep(spec).split_variants():
+        for part in result.split_variants():
             variant = part.spec.variants[0]
             stem = f"fig{args.number}_{slug}_{variant}" if slug else \
                 f"fig{args.number}_{variant}"

@@ -161,10 +161,11 @@ class _PopulationPropagator:
     """Eigen-decomposition m = v diag(w) v^-1 of one population generator,
     reused across stamps; `w` is None where the eigenbasis is too
     ill-conditioned to use (possible at near-degenerate coefficient sets),
-    and scaling-and-squaring takes over. `propagators` builds them."""
+    and scaling-and-squaring takes over. `cond` is the 2-norm condition
+    number of `v`. `propagators` builds them."""
 
-    def __init__(self, m, w=None, v=None, vinv=None):
-        self.m, self.w, self.v, self.vinv = m, w, v, vinv
+    def __init__(self, m, w=None, v=None, vinv=None, cond=math.inf):
+        self.m, self.w, self.v, self.vinv, self.cond = m, w, v, vinv, cond
         self._diagonalizable = w is not None
 
     def modes(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -203,9 +204,11 @@ def propagators(coeff_sets) -> list:
     for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
         if rows.size:
             vs = np.array([v[i] for i in rows])
-            fine = np.linalg.cond(vs) < 1e12
-            for i, vinv in zip(rows[fine].tolist(), np.linalg.inv(vs[fine])):
-                props[i] = _PopulationPropagator(ms[i], w[i], v[i], vinv)
+            conds = np.linalg.cond(vs)
+            fine = conds < 1e12
+            for i, vinv, cond in zip(rows[fine].tolist(), np.linalg.inv(vs[fine]),
+                                     conds[fine].tolist()):
+                props[i] = _PopulationPropagator(ms[i], w[i], v[i], vinv, cond)
     return props
 
 

@@ -227,22 +227,39 @@ def _columns(spec: SweepSpec, values: dict, coefficients: list, ds: dict,
                                  for v in variants]))
 
 
-def _point_columns(spec: SweepSpec) -> Columns:
-    """The columns of a rate, coefficients or cmax sweep: the coefficients
-    of every grid point from one `_coefficients` call (SweepSpec has checked
-    what SystemParams would), then the quantity of every row, with d = 0
-    for without_D: the rates from one `_generation_rate` call per variant,
-    the maxima from one `max_concurrences` call. A failure of the
-    coefficients marks every variant's row of its point, one of the
-    quantity its own row."""
-    n, variants, grid = len(spec.grid), spec.variants, np.array(spec.grid)
+def _point_coefficients(spec: SweepSpec) -> tuple:
+    """The coefficients (5, n) of every grid point of a rate, coefficients
+    or cmax sweep from one `_coefficients` call (SweepSpec has checked what
+    SystemParams would), NaN where they fail, and each point's error or None."""
+    n, grid = len(spec.grid), np.array(spec.grid)
 
     def coefficients(points):
         dims = {**spec.fixed, spec.axis: grid[points]}
         return _coefficients(dims["a_over_omega"], dims["z_omega"], dims["l_omega"])
 
     table = np.full((5, n), np.nan)  # NaN where the coefficients fail
-    failed = _filled(table, coefficients, n)
+    return table, _filled(table, coefficients, n)
+
+
+def _searched_sets(spec: SweepSpec, table: np.ndarray, failed: list) -> list:
+    """The coefficient sets whose maxima a cmax sweep's rows report, grid
+    point major, with d = 0 for without_D; none for another quantity or a
+    point whose coefficients failed."""
+    if spec.quantity != "cmax":
+        return []
+    with_d = [v == "with_D" for v in spec.variants]
+    return [CoefficientSet(a1, a2, b1, b2, d if keep else 0.0)
+            for (a1, a2, b1, b2, d), e in zip(table.T.tolist(), failed) if e is None
+            for keep in with_d]
+
+
+def _point_columns(spec: SweepSpec, table: np.ndarray, failed: list, maxima: list) -> Columns:
+    """The columns of a rate, coefficients or cmax sweep from its
+    `_point_coefficients`, with d = 0 for without_D: the rates from one
+    `_generation_rate` call per variant, the maxima from `maxima`, the
+    results of `_searched_sets` in order. A failure of the coefficients
+    marks every variant's row of its point, one of the quantity its own row."""
+    n, variants = len(spec.grid), spec.variants
     a1, a2, b1, b2, d = (_masked(column, failed) for column in table.tolist())
     ds = {"with_D": d, "without_D": _masked([0.0] * n, failed)}
     errors = {v: failed for v in variants}
@@ -255,9 +272,6 @@ def _point_columns(spec: SweepSpec) -> Columns:
             errors[v] = [e or f for e, f in zip(failed, found)]
             values[v] = _masked(rate.tolist(), errors[v])
     elif spec.quantity == "cmax":
-        ok = [i for i, e in enumerate(failed) if e is None]
-        maxima = max_concurrences(CoefficientSet(a1[i], a2[i], b1[i], b2[i], ds[v][i])
-                                  for i in ok for v in variants)
         for j, v in enumerate(variants):
             searched = iter(maxima[j::len(variants)])
             found = [e or next(searched) for e in failed]
@@ -297,7 +311,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Failures stay local: a row that raises a domain/convergence error gets an
     error marker and the rest of the grid is still evaluated.
     """
-    return SweepResult(spec, (_tau_columns if spec.axis == "tau" else _point_columns)(spec))
+    return run_sweeps([spec])[0]
+
+
+def run_sweeps(specs) -> list:
+    """`run_sweep` of each spec, in order, with the maxima of every cmax row
+    of them all from one `max_concurrences` call: a figure's panels share one
+    search, and each row still gets the result of its own."""
+    points = [None if spec.axis == "tau" else _point_coefficients(spec) for spec in specs]
+    sets = [[] if point is None else _searched_sets(spec, *point)
+            for spec, point in zip(specs, points)]
+    searched = [s for part in sets for s in part]
+    maxima = iter(max_concurrences(searched) if searched else [])
+    return [SweepResult(spec, _tau_columns(spec) if point is None else
+                        _point_columns(spec, *point, [next(maxima) for _ in part]))
+            for spec, point, part in zip(specs, points, sets)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,3 +550,128 @@ def test_max_concurrence_matches_dense_scan(point):
         warnings.simplefilter("ignore", RuntimeWarning)
         _, c_max = max_concurrence(None, coeffs=coeffs)
     assert abs(c_max - _dense_scan_max(coeffs)) < 1e-12
+
+
+# --- the search's envelope ------------------------------------------------------
+
+_RATIO = st.floats(-1.2, 1.2)
+
+
+@st.composite
+def searched_set(draw):
+    """A coefficient set for the search: a figure point, _BREACH, a set of
+    _EXPM_ROW, or random rates, some of them negative, with |d| up to 30 a1."""
+    kind = draw(st.sampled_from(("figure", "breach", "expm", "random")))
+    if kind == "figure":
+        return _coeffs_at(*draw(figure_point()))
+    if kind == "breach":
+        return _BREACH
+    if kind == "expm":
+        return _coeffs_at(dict(zip(("z_omega", "a_over_omega", "l_omega"), _EXPM_ROW)),
+                          draw(st.booleans()))
+    a1 = draw(st.floats(0.05, 1.0))
+    a2, b1, b2 = (a1 * draw(_RATIO) for _ in range(3))
+    return CoefficientSet(a1, a2, b1, b2, a1 * draw(st.floats(-30.0, 30.0)))
+
+
+def _searched(sets, horizon):
+    """The outcomes of max_concurrences on `sets` and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = max_concurrences(sets, horizon)
+    return [_outcome(f) for f in found], len(caught)
+
+
+_BOUND = _Trajectories.bound
+
+
+def _halved_bound(self, *args):
+    """_Trajectories.bound, halved."""
+    return 0.5 * _BOUND(self, *args)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sets=st.lists(searched_set(), min_size=1, max_size=5),
+       horizon=st.sampled_from((None, 3.0)))
+def test_pruned_search_matches_the_full_search(sets, horizon):
+    # an infinite bound prunes nothing: every block is scanned and every
+    # bracket refined, which is the search without its envelope
+    pruned = _searched(sets, horizon)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Trajectories, "bound",
+                      lambda self, sets, t0, t1: np.full(len(sets), math.inf))
+        assert _searched(sets, horizon) == pruned
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(coeffs=searched_set())
+def test_bound_holds_over_blocks_and_brackets(coeffs):
+    try:
+        row = _plan(coeffs, default_horizon(coeffs, prepare_initial("ten")))
+        trajectories = _Trajectories([coeffs])
+        taus = _search_grids([row])
+        curve = trajectories.concurrence(taus, [taus.size])
+    except NUMERICAL_ERRORS:
+        return  # a row the search rejects has no envelope to check
+
+    def bound(t0, t1):
+        return trajectories.bound(np.zeros(t0.size, dtype=int), t0, t1)
+
+    # a block of _BLOCK samples, with one sample on either side
+    block = concurrence_mod._BLOCK
+    lo = np.maximum(np.arange(0, taus.size, block) - 1, 0)
+    hi = np.minimum(lo + block + (lo > 0), taus.size - 1)
+    reach = np.array([curve[a:b + 1].max() for a, b in zip(lo, hi)])
+    assert np.all(reach <= bound(taus[lo], taus[hi]))
+    # a bracket: the grid sample at its middle and the points between samples
+    middle = (taus[:-1] + taus[1:]) / 2.0
+    between = trajectories.concurrence(middle, [middle.size])
+    brackets = bound(taus[:-2], taus[2:])
+    assert np.all(curve[1:-1] <= brackets)
+    assert np.all(np.maximum(between[:-1], between[1:]) <= brackets)
+    if coeffs == _BREACH or not propagators([coeffs])[0]._diagonalizable:
+        assert np.all(brackets == math.inf)
+
+
+def _figure_sets(points):
+    """The coefficient sets of every cmax figure-preset row at `points`."""
+    sets = []
+    for number in (7, 8, 9, 10):
+        for spec in preset(number, points=points):
+            for value in spec.grid:
+                coeffs = _coeffs_at({**spec.fixed, spec.axis: value}, True)
+                sets += [coeffs, coeffs.without_d()]
+    return sets
+
+
+def test_a_halved_bound_changes_the_search():
+    # the equivalence test above would catch a bound that is too low
+    sets = _figure_sets(3)
+    found = _searched(sets, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Trajectories, "bound", _halved_bound)
+        halved = _searched(sets, None)
+    assert halved[0] != found[0]
+
+
+def test_heavy_row_has_its_bits_in_bounded_memory():
+    # 4 094 861 search-grid samples; scanning all of them took 609 MB. Linux
+    # keeps a process's peak RSS across exec, so the row runs in a grandchild
+    # that a small interpreter starts, not in a child of this large one.
+    code = ("import resource\n"
+            "from mirroratoms import SystemParams, max_concurrence\n"
+            "found = max_concurrence(SystemParams.from_dimensionless(0.01, 0.02, 0.05))\n"
+            "print(*found, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = str(Path(concurrence_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1"))
+    launch = ("import subprocess, sys\n"
+              "print(subprocess.run(sys.argv[1:], capture_output=True, text=True,\n"
+              "                     check=True).stdout, end='')\n")
+    done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120, check=True, env=env)
+    tau_star, c_max, max_rss_kb = done.stdout.split()
+    assert (float(tau_star), float(c_max)) == (1.0965929531666019, 0.9999268702887874)
+    assert int(max_rss_kb) < 150 * 1024
