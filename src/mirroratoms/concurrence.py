@@ -26,8 +26,9 @@ from .evolution import (_TEN, HARD_TOL, SAMPLES_PER_SCALE, XState, _time_scale,
 # search raises ConvergenceError rather than truncate its grid
 _DENSE_BUDGET = 5_000_000
 _TAIL_SAMPLES = 2000
-# search-grid samples that max_concurrences scans in one chunk, about those of
-# the largest row of the figure presets, so a chunk's arrays stay that size
+# samples the search bounds or evaluates per call, whatever its rows hold
+# (about those of the largest row of the figure presets), so its arrays stay
+# that size
 _CHUNK_SAMPLES = 2 ** 15
 _SECTIONS = 64
 _BLOCK = 64  # samples per block of the search's branch and bound
@@ -129,11 +130,12 @@ class _Trajectories:
         # real part of a sum over the modes j of c_j exp(w_j t), c_j = u_j m_j
         # with m = V^-1 p0 and u the row of V (or V_aa - V_ss). Per set, for
         # those three in turn and each mode: Re w_j, Re c_j where w_j is real
-        # (the term is monotone in t), |c_j| where it is not, and the weight
-        # |u_j| |m_j| (|V_aa,j| + |V_ss,j| for the difference) that scales rounding.
+        # (the term is monotone in t), and |c_j| where it is not, plus 1e-12
+        # times the weight |u_j| |m_j| (|V_aa,j| + |V_ss,j| for the
+        # difference) that scales rounding.
         count = len(self.props)
         self.decay = np.zeros((count, 1, 4))
-        self.monotone, self.swing, self.weight = (np.zeros((count, 3, 4)) for _ in range(3))
+        self.monotone, self.swing = np.zeros((count, 3, 4)), np.zeros((count, 3, 4))
         self.a1 = np.array([c.a1 for c in coeff_sets], dtype=float)
         self.d = np.array([c.d for c in coeff_sets], dtype=float)
         self.provable = np.zeros(count, dtype=bool)
@@ -147,9 +149,9 @@ class _Trajectories:
             real = w.imag[:, None] == 0.0
             self.decay[sure] = w.real[:, None]
             self.monotone[sure] = np.where(real, c.real, 0.0)
-            self.swing[sure] = np.where(real, 0.0, np.abs(c))
-            self.weight[sure] = np.abs(np.stack([np.abs(v[:, 2]) + np.abs(v[:, 3]), v[:, 0],
-                                                 v[:, 1]], axis=1) * m[:, None])
+            weight = np.abs(np.stack([np.abs(v[:, 2]) + np.abs(v[:, 3]), v[:, 0], v[:, 1]],
+                                     axis=1) * m[:, None])
+            self.swing[sure] = np.where(real, 0.0, np.abs(c)) + 1e-12 * weight
             # channel rates >= 0 keep p_aa p_ss >= |c_as|^2 along the
             # trajectory, so no sample can breach the k2 radicand check
             rates = np.array([p.m for p in props])[:, [2, 3, 0, 0], [0, 0, 2, 3]]
@@ -172,7 +174,7 @@ class _Trajectories:
             e0, e1 = np.exp(decay * t0[:, None, None]), np.exp(decay * t1[:, None, None])
             monotone = self.monotone[sets]
             at0, at1 = monotone * e0, monotone * e1
-            reach = ((self.swing[sets] + 1e-12 * self.weight[sets]) * np.maximum(e0, e1)).sum(axis=2)
+            reach = (self.swing[sets] * np.maximum(e0, e1)).sum(axis=2)
             high = np.maximum(at0, at1).sum(axis=2) + reach
             low = np.minimum(at0, at1).sum(axis=2) - reach
             spread = np.maximum(high[:, 0], -low[:, 0])
@@ -189,8 +191,10 @@ class _Trajectories:
         InvariantError on a positivity breach.
 
         A set's populations come from its own 4x4 @ 4xN product on its own
-        stamps, which BLAS may round differently with N; the rest is
-        elementwise, so a stamp's bits do not depend on the other sets'."""
+        stamps, which BLAS rounds alike for every N >= 2 (N = 1 takes the
+        matrix-vector path); the rest is elementwise, so a stamp's bits do
+        not depend on the other sets'. The search hands it at most
+        _CHUNK_SAMPLES stamps and no set a single one."""
         counts = np.asarray(counts)
         ends = np.cumsum(counts)
         p0, pops = _TEN.populations, np.empty((4, taus.size))
@@ -208,30 +212,34 @@ _SECTION_POINTS = np.arange(_SECTIONS + 1.0)
 
 
 def _refine(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """Maximize `fun` on every bracket [lo[k], hi[k]] at once.
+    """Maximize `fun` on every bracket [lo[k], hi[k]].
 
     Each round samples the active brackets at _SECTIONS + 1 evenly spaced
     points, ends included (the arithmetic of np.linspace, whose zero-step
-    branch a bracket wider than tol never takes), in one call
-    fun(samples, active): `samples` holds those of bracket active[0], then
-    those of active[1], and so on. It keeps the two sections around each best
-    sample. A bracket stops at width max(tol, 64 ulp(hi)), a floor reachable
-    at any magnitude. Returns each bracket's best sample.
+    branch a bracket wider than tol never takes), in calls
+    fun(samples, active) on at most _CHUNK_SAMPLES samples, in order:
+    `samples` holds those of bracket active[0], then those of active[1], and
+    so on. It keeps the two sections around each best sample. A bracket
+    stops at width max(tol, 64 ulp(hi)), a floor reachable at any magnitude.
+    Returns each bracket's best sample.
     """
     best_t, best_c = np.array(lo, dtype=float), np.full(len(lo), -np.inf)
-    active = np.arange(best_t.size)
+    lo, hi = best_t.copy(), np.array(hi, dtype=float)
+    active, batch = np.arange(best_t.size), _CHUNK_SAMPLES // (_SECTIONS + 1)
     for _ in range(_MAX_ROUNDS):
         if active.size == 0:
             return best_t, best_c
-        ts = _SECTION_POINTS * ((hi - lo) / _SECTIONS)[:, None] + lo[:, None]
-        ts[:, -1] = hi
-        cs = fun(ts.ravel(), active).reshape(ts.shape)
-        k = np.arange(active.size)
-        j = np.argmax(cs, axis=1)  # first maximum: ties go to the smallest tau
-        c_best = cs[k, j]
-        up = c_best > best_c[active]
-        best_t[active[up]], best_c[active[up]] = ts[k, j][up], c_best[up]
-        lo, hi = ts[k, np.maximum(j - 1, 0)], ts[k, np.minimum(j + 1, _SECTIONS)]
+        for part in range(0, active.size, batch):
+            part = slice(part, part + batch)
+            ts = _SECTION_POINTS * ((hi[part] - lo[part]) / _SECTIONS)[:, None] + lo[part, None]
+            ts[:, -1] = hi[part]
+            cs = fun(ts.ravel(), active[part]).reshape(ts.shape)
+            k = np.arange(ts.shape[0])
+            j = np.argmax(cs, axis=1)  # first maximum: ties go to the smallest tau
+            c_best, here = cs[k, j], active[part]
+            up = c_best > best_c[here]
+            best_t[here[up]], best_c[here[up]] = ts[k, j][up], c_best[up]
+            lo[part], hi[part] = ts[k, np.maximum(j - 1, 0)], ts[k, np.minimum(j + 1, _SECTIONS)]
         going = hi - lo > np.maximum(tol, 64.0 * np.spacing(hi))
         active, lo, hi = active[going], lo[going], hi[going]
     raise ConvergenceError(f"bracket refinement did not converge in {_MAX_ROUNDS} rounds")
@@ -289,11 +297,11 @@ class _Grid:
         self.dt = np.array([row.dt for row in rows])
         self.horizon = np.array([row.horizon for row in rows])
         self.tailed = np.array([row.tailed for row in rows], dtype=bool)
-        tailed = [row for row in rows if row.tailed]
-        self.tails = (np.geomspace([row.m * row.dt for row in tailed],
-                                   [row.horizon for row in tailed], _TAIL_SAMPLES, axis=1)
-                      if tailed else None)
-        self.tail_of = np.cumsum(self.tailed) - 1  # a tailed row's row of tails
+        # np.geomspace(m dt, horizon, _TAIL_SAMPLES) sample by sample: its
+        # exponents are those of np.linspace, then its ends are set exactly
+        with np.errstate(divide="ignore"):  # m dt = 0 in no tailed row
+            self.log_lo = np.log10(self.m * self.dt)
+            self.step = (np.log10(self.horizon) - self.log_lo) / (_TAIL_SAMPLES - 1)
 
     def row(self, index: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.ends, index, side="right")
@@ -309,8 +317,10 @@ class _Grid:
             tailed = self.tailed[r]
             taus[past] = self.horizon[r]
             if tailed.any():
-                taus[past[tailed]] = self.tails[self.tail_of[r[tailed]],
-                                                (k[past] - self.m[r])[tailed]]
+                r, j = r[tailed], (k[past] - self.m[r])[tailed]
+                inner = j < _TAIL_SAMPLES - 1  # the tail's last sample is the horizon
+                r, at = r[inner], past[tailed][inner]
+                taus[at] = 10.0 ** (j[inner] * self.step[r] + self.log_lo[r])
         return taus
 
 
@@ -349,6 +359,78 @@ def _brackets(index: np.ndarray, curve: np.ndarray, edge: np.ndarray) -> np.ndar
     return np.flatnonzero(peak & decided & ~np.insert(peak[:-1], 0, False))
 
 
+def _scan(trajectories: _Trajectories, grid: _Grid) -> tuple:
+    """The two passes of `_search`: the times and the values of the first,
+    last but one and last sample of each row, two (3, rows) arrays, then
+    row, lower and upper end of each bracket whose bound is not below the
+    floor its row provably reaches, in the order of the grids."""
+    concurrence, bound = trajectories.concurrence, trajectories.bound
+    starts, ends, count = grid.starts, grid.ends, grid.sizes.size
+    blocks = -(-grid.sizes // _BLOCK)
+    opens = np.cumsum(blocks) - blocks  # each row's first block
+
+    def extent(block):
+        """The rows of the blocks and their first and past-the-last samples."""
+        row = np.searchsorted(opens, block, side="right") - 1
+        first = (block - opens[row]) * _BLOCK + starts[row]
+        return row, first, np.minimum(first + _BLOCK, ends[row])
+
+    envelope, step = np.empty(blocks.sum()), _CHUNK_SAMPLES // _BLOCK
+    for at in range(0, envelope.size, step):
+        row, first, last = extent(np.arange(at, min(at + step, envelope.size)))
+        envelope[at:at + step] = bound(row, grid.times(np.maximum(first - 1, starts[row]), row),
+                                       grid.times(np.minimum(last, ends[row] - 1), row))
+    top = envelope == np.repeat(np.maximum.reduceat(envelope, opens), blocks)
+
+    # the floor: the largest end value of the row and of its brackets, or
+    # _ZERO_MAX, below which a maximum reads 0 whichever sample holds it
+    reached = np.full(count, _ZERO_MAX)
+    marks, marked = np.stack([starts, ends - 2, ends - 1]), np.empty((3, count))
+
+    def scan(block, *ranges):
+        """Evaluate the blocks, each with the two samples before and the one
+        after it, and the other ranges (lo, hi) of samples; raise the floor
+        by the end values of the blocks' brackets and return their sample,
+        row, ends and bound. A slice's ranges hold at most _CHUNK_SAMPLES
+        samples, and a block's own samples decide its brackets."""
+        row, first, last = extent(block)
+        lo = np.concatenate([np.maximum(first - 2, starts[row]), *ranges[::2]])
+        hi = np.concatenate([np.minimum(last + 1, ends[row]), *ranges[1::2]])
+        ids = np.concatenate([block, np.full(lo.size - block.size, -1)])
+        order = np.argsort(lo, kind="stable")
+        lo, hi, ids = lo[order], hi[order], ids[order]
+        total = np.cumsum(hi - lo)
+        found, at = [(np.empty(0, dtype=int), np.empty(0, dtype=int), *np.empty((3, 0)))], 0
+        while at < lo.size:
+            cut = max(int(np.searchsorted(total, total[at] - hi[at] + lo[at] + _CHUNK_SAMPLES,
+                                          side="right")), at + 1)
+            index = _union(lo[at:cut], hi[at:cut])
+            row = grid.row(index)
+            taus = grid.times(index, row)
+            curve = concurrence(taus, np.bincount(row, minlength=count))
+            for mark, values in zip(marks, marked):
+                hit = index == mark[row]
+                values[row[hit]] = curve[hit]
+            k = _brackets(index, curve, (index == starts[row]) | (index == ends[row] - 1))
+            own = ids[at:cut][ids[at:cut] >= 0]  # the slice's blocks, ascending
+            held = opens[row[k]] + (index[k] - starts[row[k]]) // _BLOCK
+            k = k[np.append(own, -1)[np.searchsorted(own, held)] == held]
+            np.maximum.at(reached, row[k], np.maximum(curve[k - 1], curve[k + 1]))
+            found.append((index[k], row[k], taus[k - 1], taus[k + 1],
+                          bound(row[k], taus[k - 1], taus[k + 1])))
+            at = cut
+        return [np.concatenate(part) for part in zip(*found)]
+
+    seen = scan(np.flatnonzero(top), starts, starts + 2, ends - 2, ends)
+    reached = np.maximum(reached, np.maximum(marked[0], marked[2]))
+    more = scan(np.flatnonzero(~top & ~(envelope < np.repeat(reached, blocks))))
+    sample, holder, t_lo, t_hi, ceiling = (np.concatenate(part) for part in zip(seen, more))
+    order = np.argsort(sample, kind="stable")
+    order = order[~(ceiling[order] < reached[holder[order]])]
+    times = grid.times(marks.ravel(), np.tile(np.arange(count), 3)).reshape(3, count)
+    return times, marked, holder[order], t_lo[order], t_hi[order]
+
+
 def _search(rows, tol: float) -> list:
     """(tau_star, c_max) of every planned row, in one pass; raises what any
     row raises, before any row warns that its maximum sits at the horizon.
@@ -363,93 +445,35 @@ def _search(rows, tol: float) -> list:
     and _refine sections, all rows at once, the brackets whose bound is not
     below the raised floor. A block or bracket below it cannot hold the
     maximum, so the result has the bits of scanning and refining everything.
+
+    Memory stays bounded, whatever the rows hold: the bound runs over the
+    blocks of _CHUNK_SAMPLES samples at a time, each pass evaluates its
+    blocks in ascending slices of at most _CHUNK_SAMPLES samples and keeps
+    only their brackets, and _refine sections at most _CHUNK_SAMPLES samples
+    at a time.
     """
-    trajectories = _Trajectories([row.coeffs for row in rows])
-    concurrence, bound = trajectories.concurrence, trajectories.bound
-    grid, count = _Grid(rows), len(rows)
-    starts, ends = grid.starts, grid.ends
-
-    blocks = -(-grid.sizes // _BLOCK)
-    opens = np.cumsum(blocks) - blocks  # each row's first block
-    owner = np.repeat(np.arange(count), blocks)
-    first = (np.arange(blocks.sum()) - opens[owner]) * _BLOCK + starts[owner]
-    last = np.minimum(first + _BLOCK, ends[owner])
-    lo, hi = np.maximum(first - 1, starts[owner]), np.minimum(last, ends[owner] - 1)
-    envelope = bound(owner, grid.times(lo, owner), grid.times(hi, owner))
-    top = envelope == np.maximum.reduceat(envelope, opens)[owner]
-
-    def scan(blocks, *ranges):
-        """The samples of the blocks, with the two before and the one after
-        each, and of the other ranges: (lo, hi) of those ranges, then index,
-        row, tau and curve of the samples."""
-        lo = np.concatenate([np.maximum(first[blocks] - 2, starts[owner[blocks]]), *ranges[::2]])
-        hi = np.concatenate([np.minimum(last[blocks] + 1, ends[owner[blocks]]), *ranges[1::2]])
-        index = _union(lo, hi)
-        row = grid.row(index)
-        taus = grid.times(index, row)
-        return lo, hi, index, row, taus, concurrence(taus, np.bincount(row, minlength=count))
-
-    def floor(index, row, curve, brackets):
-        """Per row, the largest end value of the row and of its brackets, or
-        _ZERO_MAX: a maximum below that reads 0 whichever sample holds it."""
-        reached = np.maximum(np.maximum(curve[np.searchsorted(index, starts)],
-                                        curve[np.searchsorted(index, ends - 1)]), _ZERO_MAX)
-        np.maximum.at(reached, row[brackets],
-                      np.maximum(curve[brackets - 1], curve[brackets + 1]))
-        return reached
-
-    def edge(index, row):
-        return (index == starts[row]) | (index == ends[row] - 1)
-
-    seen = scan(np.flatnonzero(top), starts, starts + 1, ends - 2, ends)
-    index, row, _, curve = seen[2:]
-    reached = floor(index, row, curve, _brackets(index, curve, edge(index, row)))
-    more = scan(np.flatnonzero(~top & ~(envelope < reached[owner])))
-    # a sample both passes evaluated has the same bits in each
-    index = _union(np.concatenate([seen[0], more[0]]), np.concatenate([seen[1], more[1]]))
-    row, taus, curve = (np.empty(index.size, dtype=a.dtype) for a in seen[3:])
-    for part in (seen, more):
-        at = np.searchsorted(index, part[2])
-        row[at], taus[at], curve[at] = part[3:]
-    brackets = _brackets(index, curve, edge(index, row))
-    reached = floor(index, row, curve, brackets)
-    brackets = brackets[~(bound(row[brackets], taus[brackets - 1], taus[brackets + 1])
-                          < reached[row[brackets]])]
-    holder = row[brackets]  # the row of each bracket, ascending
+    trajectories, count = _Trajectories([row.coeffs for row in rows]), len(rows)
+    times, marked, holder, t_lo, t_hi = _scan(trajectories, _Grid(rows))
     t_ref, c_ref = _refine(
-        lambda ts, active: concurrence(
+        lambda ts, active: trajectories.concurrence(
             ts, np.bincount(holder[active], minlength=count) * (_SECTIONS + 1)),
-        taus[brackets - 1], taus[brackets + 1], tol)
+        t_lo, t_hi, tol)
     found = []
     ranges = np.searchsorted(holder, np.arange(count + 1)).tolist()
-    ends_at = np.searchsorted(index, np.concatenate([starts, ends - 2, ends - 1]))
-    for start, penult, end, b_lo, b_hi in zip(*ends_at.reshape(3, count).tolist(),
-                                             ranges, ranges[1:]):
-        cand_t = np.concatenate([taus[start:start + 1], t_ref[b_lo:b_hi], taus[end:end + 1]])
-        cand_c = np.concatenate([curve[start:start + 1], c_ref[b_lo:b_hi], curve[end:end + 1]])
+    for (t_start, t_penult, t_end), (c_start, c_penult, c_end), b_lo, b_hi in zip(
+            times.T.tolist(), marked.T.tolist(), ranges, ranges[1:]):
+        cand_t = np.concatenate([[t_start], t_ref[b_lo:b_hi], [t_end]])
+        cand_c = np.concatenate([[c_start], c_ref[b_lo:b_hi], [c_end]])
         best = int(np.argmax(cand_c))  # candidates are time-ordered: smallest tau wins
         tau_star, c_max = cand_t[best], cand_c[best]
         if c_max <= _ZERO_MAX:
             found.append((0.0, 0.0))
             continue
-        if tau_star >= taus[penult] and curve[end] >= curve[penult]:
+        if tau_star >= t_penult and c_end >= c_penult:
             warnings.warn("concurrence maximum sits at the horizon; extend it",
                           RuntimeWarning)
         found.append((float(tau_star), float(c_max)))
     return found
-
-
-def _chunks(rows) -> list:
-    """The rows in order, cut into runs whose grids hold at most _CHUNK_SAMPLES
-    samples in all; a larger row is a run of its own."""
-    chunks, total = [], _CHUNK_SAMPLES
-    for row in rows:
-        if total + row.size > _CHUNK_SAMPLES:
-            chunks.append([])
-            total = 0
-        chunks[-1].append(row)
-        total += row.size
-    return chunks
 
 
 def _check_tol(tol: float):
@@ -462,13 +486,12 @@ def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8
     (tau_star, c_max), or the error its own call would raise.
 
     The sets are planned together (default horizons from one stacked
-    computation), then searched in chunks, in order, whose grids hold at most
-    _CHUNK_SAMPLES samples in all (a larger set alone), each by one `_search`
-    that scans and refines only the blocks and brackets its envelope cannot
-    rule out; `each_or_alone` halves a failing batch of the planning or a
-    failing chunk down to its failing sets. A set gets the bits, the error
-    and the horizon warning of its own call, and of the search without the
-    envelope, whatever else it is with.
+    computation), then searched together by one `_search`, which scans and
+    refines only the blocks and brackets its envelope cannot rule out, in
+    slices of at most _CHUNK_SAMPLES samples; `each_or_alone` halves a
+    failing planning or search down to its failing sets. A set gets the
+    bits, the error and the horizon warning of its own call, and of the
+    search without the envelope, whatever else it is with.
     """
     _check_tol(tol)
 
@@ -478,8 +501,7 @@ def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8
 
     planned = each_or_alone(plan, list(coeff_sets))
     rows = [row for row in planned if isinstance(row, _Row)]
-    search = partial(_search, tol=tol)
-    searched = iter([found for chunk in _chunks(rows) for found in each_or_alone(search, chunk)])
+    searched = iter(each_or_alone(partial(_search, tol=tol), rows) if rows else [])
     return [next(searched) if isinstance(row, _Row) else row for row in planned]
 
 

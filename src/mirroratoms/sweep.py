@@ -418,13 +418,15 @@ class _Format:
     `block` takes those of a1..b2. `row` and `numbers` are the same
     templates with the numbers formatted in: `row` for a complete row (a
     value and d, no error marker, a variant that needs no quoting) from the
-    axis text, the variant, the value, the a1..b2 text and d; `numbers` for
-    a1..b2 when all four are numbers."""
+    axis text, the variant, the value, the a1..b2 text and d, `row_d` the
+    same with the text of d; `numbers` for a1..b2 when all four are
+    numbers."""
 
     def __init__(self, cells: str, block: str, null: str, text, no_error: str):
         self.cells, self.block, self.null = cells, block, null
         self.text, self.no_error = text, no_error
         self.row = cells % ("%s", text("%s"), "%.17g", "%s", "%.17g", no_error)
+        self.row_d = cells % ("%s", text("%s"), "%.17g", "%s", "%s", no_error)
         self.numbers = block % (("%.17g",) * 4)
 
     def number(self, x) -> str:
@@ -445,9 +447,12 @@ def _row_lines(result: SweepResult, grid_texts: list, form: _Format) -> list:
     axis_value object share its text, and those that hold the same a1..b2
     objects share one text of all four: a grid point's rows from run_sweep
     format them once. An axis_value that is the grid's next value takes its
-    text from grid_texts."""
+    text from grid_texts. A row that holds the d object of the row two
+    before, as rows of a tau sweep and without_D rows do where the variants
+    alternate, takes the text of d made once for that object."""
     grid, k, size = result.spec.grid, 0, len(result.spec.grid)
-    row, numbers, lines = form.row, form.numbers, []
+    row, row_d, numbers, lines = form.row, form.row_d, form.numbers, []
+    back, other = [_UNSEEN, None], [_UNSEEN, None]  # a d and its text, or None
     x_seen = a1_seen = a2_seen = b1_seen = b2_seen = _UNSEEN
     for x, variant, value, a1, a2, b1, b2, d, error in zip(*result.columns):
         if x is not x_seen:
@@ -461,7 +466,14 @@ def _row_lines(result: SweepResult, grid_texts: list, form: _Format) -> list:
             a_text = (form.block % tuple(map(form.number, block)) if None in block
                       else numbers % block)
         if error is None and value is not None and d is not None and variant in VARIANTS:
-            lines.append(row % (x_text, variant, value, a_text, d))
+            if d is back[0]:
+                if back[1] is None:
+                    back[1] = _fnum(d)
+                lines.append(row_d % (x_text, variant, value, a_text, back[1]))
+            else:  # formatted into the row, which costs least for a d no row repeats
+                back[0], back[1] = d, None
+                lines.append(row % (x_text, variant, value, a_text, d))
+            back, other = other, back
         else:
             lines.append(form.cells % (
                 x_text, form.text(variant), form.number(value), a_text, form.number(d),

@@ -409,7 +409,7 @@ def test_batched_search_matches_one_row_calls(monkeypatch, horizon, budget):
     expected = [_one_row(coeffs, horizon) for coeffs in sets]
     assert not propagators([sets[12]])[0]._diagonalizable  # _EXPM_ROW, without_D
 
-    calls = []  # (sets, samples, whether it raised) per chunk
+    calls = []  # (sets, samples, whether it raised) per search
     real = concurrence_mod._search
 
     def spy(rows, *args, **kwargs):
@@ -425,14 +425,12 @@ def test_batched_search_matches_one_row_calls(monkeypatch, horizon, budget):
         found = max_concurrences(sets, horizon)
     assert [_outcome(f) for f in found] == [outcome for outcome, _ in expected]
     assert len(caught) == sum(count for _, count in expected)  # once per row
-    assert all(samples <= budget for batch, samples, _ in calls if len(batch) > 1)
-    chunks = [batch for batch, _, _ in calls if len(batch) > 1]
-    assert len(chunks) < len(sets) / 2  # rows were searched together
     if horizon is None:  # raised while planning, before any search
+        assert len(calls) == 1  # a clean call makes exactly one search
         probe = compute_coefficients(SystemParams.from_dimensionless(*_BUDGET_PROBE))
         assert not any(probe in batch for batch, _, _ in calls)
         assert "budget" in expected[2][0][1]
-    else:  # the breach fails its chunk, which is searched again row by row
+    else:  # the breach fails the search, whose halves are searched again down to it
         assert any(_BREACH in batch and len(batch) > 1 and raised for batch, _, raised in calls)
         assert any(_BREACH in batch and len(batch) == 1 for batch, _, _ in calls)
         assert sum(count for _, count in expected) >= 5
@@ -674,4 +672,83 @@ def test_heavy_row_has_its_bits_in_bounded_memory():
                           capture_output=True, text=True, timeout=120, check=True, env=env)
     tau_star, c_max, max_rss_kb = done.stdout.split()
     assert (float(tau_star), float(c_max)) == (1.0965929531666019, 0.9999268702887874)
+    assert int(max_rss_kb) < 150 * 1024
+
+
+# (omega*z, a/omega, omega*L) of a row with no proven envelope: its
+# eigenbasis has cond(V) = 7.2e4, so its whole grid of 9 628 samples is
+# scanned and all of its 87 brackets are refined
+_UNPROVEN_ROW = (5.0, 0.1, 0.0246)
+
+
+@pytest.mark.parametrize("horizon", [None, 3.0])
+def test_search_streams_in_bounded_slices(monkeypatch, horizon):
+    sets = _figure_sets(3) + [_BREACH]
+    for dims in (_EXPM_ROW, _UNPROVEN_ROW):
+        coeffs = compute_coefficients(SystemParams.from_dimensionless(*dims))
+        sets += [coeffs, coeffs.without_d()]
+    assert not _Trajectories([sets[-2]]).provable[0]
+    expected = _searched(sets, horizon)
+    calls, brackets = [], []  # (stamps, row pieces) per evaluation; brackets per _refine
+    evaluate, refine = _Trajectories.concurrence, concurrence_mod._refine
+
+    def spy(self, taus, counts):
+        calls.append((taus.size, [n for n in np.asarray(counts).tolist() if n]))
+        return evaluate(self, taus, counts)
+
+    def refine_spy(fun, lo, hi, tol):
+        brackets.append(lo.size)
+        return refine(fun, lo, hi, tol)
+
+    monkeypatch.setattr(_Trajectories, "concurrence", spy)
+    monkeypatch.setattr(concurrence_mod, "_refine", refine_spy)
+    for chunk in (300, 2 ** 15):
+        calls.clear()
+        monkeypatch.setattr(concurrence_mod, "_CHUNK_SAMPLES", chunk)
+        assert _searched(sets, horizon) == expected
+        assert max(stamps for stamps, _ in calls) <= chunk
+        assert min(min(pieces) for _, pieces in calls) >= 2  # a 1-column product rounds apart
+        if horizon is None:  # the unproven row alone: more brackets than one call holds
+            brackets.clear()
+            _searched(sets[-2:-1], horizon)
+            assert brackets[0] > 300 // (concurrence_mod._SECTIONS + 1)
+
+
+def _small_process(code: str) -> list:
+    """The words `code` prints, run in a grandchild as in the test above."""
+    src = str(Path(concurrence_mod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1"))
+    launch = ("import subprocess, sys\n"
+              "print(subprocess.run(sys.argv[1:], capture_output=True, text=True,\n"
+              "                     check=True).stdout, end='')\n")
+    return subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env=env).stdout.split()
+
+
+def test_one_search_of_a_whole_figure_stays_in_bounded_memory():
+    # figure 7's 1 600 sets go to one max_concurrences call and one search;
+    # searching them without slices took 225 MB
+    code = ("import resource, warnings\n"
+            "from mirroratoms import preset\n"
+            "from mirroratoms.sweep import run_sweeps\n"
+            "warnings.simplefilter('ignore')\n"
+            "run_sweeps(preset(7))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    assert int(_small_process(code)[0]) < 100 * 1024
+
+
+def test_row_without_an_envelope_has_its_bits_in_bounded_memory():
+    # 1 193 840 search-grid samples and cond(V) = 6.7e7: no proven envelope,
+    # so every sample is scanned and every bracket refined; as whole-row
+    # arrays that took 354 MB
+    code = ("import resource\n"
+            "from mirroratoms import SystemParams, max_concurrence\n"
+            "found = max_concurrence(SystemParams.from_dimensionless(0.5, 0.1, 1e-3))\n"
+            "print(*found, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    tau_star, c_max, max_rss_kb = _small_process(code)
+    assert (float(tau_star), float(c_max)) == (0.0015714874902066846, 0.9997489212647117)
     assert int(max_rss_kb) < 150 * 1024

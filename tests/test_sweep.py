@@ -338,8 +338,8 @@ def test_split_variants_does_not_validate_the_grid_again(monkeypatch):
 
 def test_cmax_sweep_matches_per_point_rows(monkeypatch):
     # omega*z = 1e155 fails the coefficients; a forced failure of the
-    # without_D search at omega*z = 1 fails its chunk, whose halves are
-    # searched again down to that row, and marks that row alone
+    # without_D search at omega*z = 1 fails the search of all rows, whose
+    # halves are searched again down to that row, and marks that row alone
     real = concurrence_mod._search
 
     def flaky(rows, *args, **kwargs):
