@@ -19,8 +19,8 @@ import numpy as np
 from .correlations import (CoefficientSet, SystemParams, _elementwise, _libm,
                            compute_coefficients)
 from .errors import ConvergenceError, DomainError, each_or_alone
-from .evolution import (_TEN, HARD_TOL, SAMPLES_PER_SCALE, XState, _time_scale,
-                        default_horizons, propagators, x_concurrence)
+from .evolution import (_TEN, HARD_TOL, SAMPLES_PER_SCALE, Propagators, XState, _time_scale,
+                        default_horizons, x_concurrence)
 
 # uniform samples allowed over the coherence window, beyond which the
 # search raises ConvergenceError rather than truncate its grid
@@ -120,11 +120,12 @@ def _generation_rate(a1, a2, b1, d):
 
 
 class _Trajectories:
-    """The closed-form trajectories of coefficient sets from |10>, with an
-    upper envelope of their concurrence."""
+    """The closed-form trajectories of coefficient sets from |10>, held as
+    the stacked arrays of `Propagators`, with an upper envelope of their
+    concurrence."""
 
     def __init__(self, coeff_sets):
-        self.props = propagators(coeff_sets)
+        self.props = props = Propagators(coeff_sets, _TEN.populations)
         self.coherent = np.array([-4.0 * (c.a1 + 1j * c.d) for c in coeff_sets])
         # The envelope of `bound`. Each of p_aa - p_ss, p_gg and p_ee is the
         # real part of a sum over the modes j of c_j exp(w_j t), c_j = u_j m_j
@@ -133,18 +134,15 @@ class _Trajectories:
         # (the term is monotone in t), and |c_j| where it is not, plus 1e-12
         # times the weight |u_j| |m_j| (|V_aa,j| + |V_ss,j| for the
         # difference) that scales rounding.
-        count = len(self.props)
+        count = len(coeff_sets)
         self.decay = np.zeros((count, 1, 4))
         self.monotone, self.swing = np.zeros((count, 3, 4)), np.zeros((count, 3, 4))
         self.a1 = np.array([c.a1 for c in coeff_sets], dtype=float)
         self.d = np.array([c.d for c in coeff_sets], dtype=float)
         self.provable = np.zeros(count, dtype=bool)
-        sure = [i for i, prop in enumerate(self.props)
-                if prop._diagonalizable and prop.cond < _PROVABLE_COND]
-        if sure:
-            props = [self.props[i] for i in sure]
-            v, w = np.array([p.v for p in props]), np.array([p.w for p in props])
-            m = np.array([p.vinv @ _TEN.populations for p in props])  # the bits of `modes`
+        sure = np.flatnonzero(props.cond < _PROVABLE_COND)
+        if sure.size:
+            v, w, m = props.v[sure], props.w[sure], props.amplitudes[sure]
             c = np.stack([v[:, 2] - v[:, 3], v[:, 0], v[:, 1]], axis=1) * m[:, None]
             real = w.imag[:, None] == 0.0
             self.decay[sure] = w.real[:, None]
@@ -154,7 +152,7 @@ class _Trajectories:
             self.swing[sure] = np.where(real, 0.0, np.abs(c)) + 1e-12 * weight
             # channel rates >= 0 keep p_aa p_ss >= |c_as|^2 along the
             # trajectory, so no sample can breach the k2 radicand check
-            rates = np.array([p.m for p in props])[:, [2, 3, 0, 0], [0, 0, 2, 3]]
+            rates = props.m[sure][:, [2, 3, 0, 0], [0, 0, 2, 3]]
             self.provable[sure] = (rates >= 0.0).all(axis=1)
 
     def bound(self, sets: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
@@ -197,10 +195,10 @@ class _Trajectories:
         _CHUNK_SAMPLES stamps and no set a single one."""
         counts = np.asarray(counts)
         ends = np.cumsum(counts)
-        p0, pops = _TEN.populations, np.empty((4, taus.size))
+        pops = np.empty((4, taus.size))
         for i in np.flatnonzero(counts).tolist():
             lo, hi = int(ends[i] - counts[i]), int(ends[i])
-            pops[:, lo:hi] = self.props[i].propagate(p0, taus[lo:hi])
+            pops[:, lo:hi] = self.props.propagate(i, taus[lo:hi])
         # in place, each product with its operands in the order of a one-set call
         c_as = np.repeat(self.coherent, counts)
         np.multiply(c_as, taus, out=c_as)
@@ -324,13 +322,6 @@ class _Grid:
         return taus
 
 
-def _search_grids(rows) -> np.ndarray:
-    """The search grids of the planned rows, concatenated."""
-    grid = _Grid(rows)
-    index = np.arange(grid.ends[-1])
-    return grid.times(index, grid.row(index))
-
-
 def _union(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The integers of the union of the ranges [lo[k], hi[k]), ascending."""
     if lo.size == 0:
@@ -390,15 +381,14 @@ def _scan(trajectories: _Trajectories, grid: _Grid) -> tuple:
     def scan(block, *ranges):
         """Evaluate the blocks, each with the two samples before and the one
         after it, and the other ranges (lo, hi) of samples; raise the floor
-        by the end values of the blocks' brackets and return their sample,
+        by the end values of the brackets found and return their sample,
         row, ends and bound. A slice's ranges hold at most _CHUNK_SAMPLES
-        samples, and a block's own samples decide its brackets."""
+        samples; a bracket that two slices find has the same bits in both."""
         row, first, last = extent(block)
         lo = np.concatenate([np.maximum(first - 2, starts[row]), *ranges[::2]])
         hi = np.concatenate([np.minimum(last + 1, ends[row]), *ranges[1::2]])
-        ids = np.concatenate([block, np.full(lo.size - block.size, -1)])
         order = np.argsort(lo, kind="stable")
-        lo, hi, ids = lo[order], hi[order], ids[order]
+        lo, hi = lo[order], hi[order]
         total = np.cumsum(hi - lo)
         found, at = [(np.empty(0, dtype=int), np.empty(0, dtype=int), *np.empty((3, 0)))], 0
         while at < lo.size:
@@ -412,9 +402,6 @@ def _scan(trajectories: _Trajectories, grid: _Grid) -> tuple:
                 hit = index == mark[row]
                 values[row[hit]] = curve[hit]
             k = _brackets(index, curve, (index == starts[row]) | (index == ends[row] - 1))
-            own = ids[at:cut][ids[at:cut] >= 0]  # the slice's blocks, ascending
-            held = opens[row[k]] + (index[k] - starts[row[k]]) // _BLOCK
-            k = k[np.append(own, -1)[np.searchsorted(own, held)] == held]
             np.maximum.at(reached, row[k], np.maximum(curve[k - 1], curve[k + 1]))
             found.append((index[k], row[k], taus[k - 1], taus[k + 1],
                           bound(row[k], taus[k - 1], taus[k + 1])))
@@ -425,7 +412,7 @@ def _scan(trajectories: _Trajectories, grid: _Grid) -> tuple:
     reached = np.maximum(reached, np.maximum(marked[0], marked[2]))
     more = scan(np.flatnonzero(~top & ~(envelope < np.repeat(reached, blocks))))
     sample, holder, t_lo, t_hi, ceiling = (np.concatenate(part) for part in zip(seen, more))
-    order = np.argsort(sample, kind="stable")
+    order = np.unique(sample, return_index=True)[1]  # each bracket once, in grid order
     order = order[~(ceiling[order] < reached[holder[order]])]
     times = grid.times(marks.ravel(), np.tile(np.arange(count), 3)).reshape(3, count)
     return times, marked, holder[order], t_lo[order], t_hi[order]

@@ -157,59 +157,53 @@ def _generator_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
             up_s, down_s, 0.0, -4.0 * (a1 + a2))
 
 
-class _PopulationPropagator:
-    """Eigen-decomposition m = v diag(w) v^-1 of one population generator,
-    reused across stamps; `w` is None where the eigenbasis is too
-    ill-conditioned to use (possible at near-degenerate coefficient sets),
-    and scaling-and-squaring takes over. `cond` is the 2-norm condition
-    number of `v`. `propagators` builds them."""
+class Propagators:
+    """Eigen-decompositions m = v diag(w) v^-1 of stacked population
+    generators, from one stacked call each of eig, cond and inv, with the mode
+    amplitudes v^-1 p0 computed once per set; `cond`, the 2-norm condition
+    number of a set's `v`, is inf where it is too ill-conditioned to use
+    (possible at near-degenerate sets) and scaling-and-squaring takes over.
+    LAPACK factors every matrix of a stack on its own, so each set gets the
+    bits of a call on it alone, once its dtype is restored: the stack's
+    eigenpairs are complex when any matrix has complex eigenvalues, and, as
+    eig does for one matrix, a set whose eigenvalues are all real (`real`)
+    keeps their real parts (cond and inv then run on real matrices), in
+    views of the stacks with the strides of its own call's (`modes`)."""
 
-    def __init__(self, m, w=None, v=None, vinv=None, cond=math.inf):
-        self.m, self.w, self.v, self.vinv, self.cond = m, w, v, vinv, cond
-        self._diagonalizable = w is not None
+    def __init__(self, coeff_sets, p0: np.ndarray):
+        self.p0, self.m = p0, population_generators(coeff_sets)
+        self.w, self.v = np.linalg.eig(self.m)
+        self.real = (self.w.imag == 0.0).all(axis=1)
+        self.cond = np.full(len(self.m), math.inf)
+        self.amplitudes = np.zeros_like(self.w)
+        for real in (True, False):
+            rows = np.flatnonzero(self.real == real)
+            if rows.size:
+                vs = self.v[rows].real if real else self.v[rows]
+                conds = np.linalg.cond(vs)
+                fine = conds < 1e12
+                self.cond[rows[fine]] = conds[fine]
+                self.amplitudes[rows[fine]] = np.linalg.inv(vs[fine]) @ p0
 
-    def modes(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Eigenmode amplitudes of the populations at each tau, shape
-        (4, len(taus)); the populations are `v` applied to them. Eigenbasis only."""
-        modes = self.w[:, None] * taus  # exponentiated and scaled in place
-        return np.multiply((self.vinv @ p0)[:, None], np.exp(modes, out=modes), out=modes)
+    def modes(self, i: int, taus: np.ndarray) -> tuple:
+        """Set i's eigenvectors `v` and its eigenmode amplitudes at each tau,
+        shape (4, len(taus)), whose product is the populations; real where its
+        spectrum is, in views of the stacks. Eigenbasis only."""
+        real = self.real[i]
+        w, v, amplitudes = [x[i].real if real else x[i] for x in (self.w, self.v, self.amplitudes)]
+        modes = w[:, None] * taus  # exponentiated and scaled in place
+        return v, np.multiply(amplitudes[:, None], np.exp(modes, out=modes), out=modes)
 
-    def propagate(self, p0: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Populations at each tau, shape (4, len(taus))."""
-        if self._diagonalizable:
-            out = (self.v @ self.modes(p0, taus)).real
-        else:
-            import scipy.linalg  # deferred: only this fallback needs scipy
-            out = np.empty((4, taus.size))
-            for i, t in enumerate(taus):
-                out[:, i] = scipy.linalg.expm(self.m * t) @ p0
+    def propagate(self, i: int, taus: np.ndarray) -> np.ndarray:
+        """Set i's populations at each tau, shape (4, len(taus))."""
+        if self.cond[i] < math.inf:
+            v, modes = self.modes(i, taus)
+            return (v @ modes).real
+        import scipy.linalg  # deferred: only this fallback needs scipy
+        out = np.empty((4, taus.size))
+        for k, t in enumerate(taus):
+            out[:, k] = scipy.linalg.expm(self.m[i] * t) @ self.p0
         return out
-
-
-def propagators(coeff_sets) -> list:
-    """One _PopulationPropagator per coefficient set, from one stacked call
-    each of eig, cond and inv. LAPACK factors every matrix of a stack on its
-    own, so each gets the bits of a call on it alone, once its dtype is
-    restored: the stack's eigenpairs are complex when any matrix has complex
-    eigenvalues, and, as eig does for one matrix, a matrix whose eigenvalues
-    are all real keeps their real parts (cond and inv then run on real
-    matrices). Each keeps a view of the stack, with the strides of its own
-    call's eigenvectors, which the products of the populations round by."""
-    ms = population_generators(coeff_sets)
-    w, v = np.linalg.eig(ms)
-    real = (w.imag == 0.0).all(axis=1)
-    w = [wi.real if r else wi for wi, r in zip(w, real)]
-    v = [vi.real if r else vi for vi, r in zip(v, real)]
-    props = [_PopulationPropagator(m) for m in ms]
-    for rows in (np.flatnonzero(real), np.flatnonzero(~real)):
-        if rows.size:
-            vs = np.array([v[i] for i in rows])
-            conds = np.linalg.cond(vs)
-            fine = conds < 1e12
-            for i, vinv, cond in zip(rows[fine].tolist(), np.linalg.inv(vs[fine]),
-                                     conds[fine].tolist()):
-                props[i] = _PopulationPropagator(ms[i], w[i], v[i], vinv, cond)
-    return props
 
 
 def _check_times(times) -> np.ndarray:
@@ -263,15 +257,15 @@ def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionRe
     HARD_TOL, which signals an inconsistent coefficient set.
     """
     t = _check_times(times)
-    prop = propagators([coeffs])[0]
-    if prop._diagonalizable:
+    props = Propagators([coeffs], initial.populations)
+    if props.cond[0] < math.inf:
         # One 4x4 @ 4x1 product per stamp, stacked: BLAS may round a single
         # 4x4 @ 4xN product differently with N, and a stamp must give the same
         # bytes whichever other stamps are requested.
-        modes = prop.modes(initial.populations, t)
-        pops = (prop.v @ modes.T[:, :, None])[..., 0].T.real
+        v, modes = props.modes(0, t)
+        pops = (v @ modes.T[:, :, None])[..., 0].T.real
     else:
-        pops = prop.propagate(initial.populations, t)
+        pops = props.propagate(0, t)
     c_as = initial.c_as * np.exp(-4.0 * (coeffs.a1 + 1j * coeffs.d) * t)
     c_ge = initial.c_ge * np.exp(-4.0 * coeffs.a1 * t)
     return _assemble(t, pops, c_as, c_ge)

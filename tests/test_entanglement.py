@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from mirroratoms import (CoefficientSet, ConvergenceError, DomainError,
                          max_concurrence, max_concurrences, population_generator,
                          prepare_initial, preset, run_sweep)
 from mirroratoms.cli import main
-from mirroratoms.concurrence import _plan, _refine, _search_grids, _Trajectories
+from mirroratoms.concurrence import _Grid, _plan, _refine, _Trajectories
 from mirroratoms.errors import NUMERICAL_ERRORS
-from mirroratoms.evolution import HARD_TOL, propagators, x_concurrence
+from mirroratoms.evolution import HARD_TOL, Propagators, x_concurrence
 
 from conftest import random_params, random_x_state
 from oracles import concurrence_general, evolve_numeric, k1_closed, to_product_matrix
@@ -378,6 +379,25 @@ _BATCH_POINTS = [(0.4, 1.0, 0.3), _BUDGET_PROBE, (20.0, 0.1, 3.0), (24.1, 1.88, 
                  (0.05, 0.1, 12.0)]
 # the set of test_max_concurrence_rejects_a_positivity_breach
 _BREACH = CoefficientSet(0.1, -0.4, 0.15, 0.4, -0.3)
+_P0 = prepare_initial("ten").populations
+
+
+def test_stacked_propagators_give_each_set_the_bits_of_its_own():
+    # _BREACH's spectrum is complex, so the stack's eigenpairs are complex;
+    # the sets of _EXPM_ROW take the expm path, the others the eigenbasis
+    expm = compute_coefficients(SystemParams.from_dimensionless(*_EXPM_ROW))
+    sets = [compute_coefficients(SystemParams.from_dimensionless(*dims))
+            for dims in ((0.4, 1.0, 0.3), (20.0, 0.1, 3.0), (1.0, 2.7, 9.0))]
+    sets[1:1] = [_BREACH, expm, expm.without_d()]
+    stack = Propagators(sets, _P0)
+    assert stack.w.dtype == complex and stack.real.tolist() == [1, 0, 1, 1, 1, 1]
+    assert (stack.cond == np.inf).tolist() == [0, 0, 1, 1, 0, 0]
+    taus = np.linspace(0.0, 3.0, 7)
+    for i, coeffs in enumerate(sets):
+        alone = Propagators([coeffs], _P0)
+        assert stack.propagate(i, taus).tobytes() == alone.propagate(0, taus).tobytes()
+        if alone.cond[0] < np.inf:  # the modes of evolve_closed's per-stamp products
+            assert stack.modes(i, taus)[1].tobytes() == alone.modes(0, taus)[1].tobytes()
 
 
 def _outcome(found):
@@ -407,7 +427,7 @@ def test_batched_search_matches_one_row_calls(monkeypatch, horizon, budget):
         sets += [coeffs, coeffs.without_d()]
     sets.insert(3, _BREACH)
     expected = [_one_row(coeffs, horizon) for coeffs in sets]
-    assert not propagators([sets[12]])[0]._diagonalizable  # _EXPM_ROW, without_D
+    assert Propagators([sets[12]], _P0).cond[0] == np.inf  # _EXPM_ROW, without_D: expm
 
     calls = []  # (sets, samples, whether it raised) per search
     real = concurrence_mod._search
@@ -466,6 +486,13 @@ def figure_point(draw):
     return dims, draw(st.booleans())
 
 
+def _search_grid(row):
+    """The search grid of a planned row, sample by sample."""
+    grid = _Grid([row])
+    index = np.arange(grid.ends[-1])
+    return grid.times(index, grid.row(index))
+
+
 def _coeffs_at(dims, with_d):
     coeffs = compute_coefficients(SystemParams.from_dimensionless(**dims))
     return coeffs if with_d else coeffs.without_d()
@@ -475,7 +502,7 @@ def _coeffs_at(dims, with_d):
 @given(point=figure_point())
 def test_max_concurrence_bounds_its_own_grid(point):
     coeffs = _coeffs_at(*point)
-    taus = _search_grids([_plan(coeffs, default_horizon(coeffs, prepare_initial("ten")))])
+    taus = _search_grid(_plan(coeffs, default_horizon(coeffs, prepare_initial("ten"))))
     curve = _Trajectories([coeffs]).concurrence(taus, [taus.size])
     # past the coherence window the grid turns geometric and c_as no longer
     # moves the concurrence by more than 1e-13 (the horizon itself is set
@@ -607,7 +634,7 @@ def test_bound_holds_over_blocks_and_brackets(coeffs):
     try:
         row = _plan(coeffs, default_horizon(coeffs, prepare_initial("ten")))
         trajectories = _Trajectories([coeffs])
-        taus = _search_grids([row])
+        taus = _search_grid(row)
         curve = trajectories.concurrence(taus, [taus.size])
     except NUMERICAL_ERRORS:
         return  # a row the search rejects has no envelope to check
@@ -627,7 +654,7 @@ def test_bound_holds_over_blocks_and_brackets(coeffs):
     brackets = bound(taus[:-2], taus[2:])
     assert np.all(curve[1:-1] <= brackets)
     assert np.all(np.maximum(between[:-1], between[1:]) <= brackets)
-    if coeffs == _BREACH or not propagators([coeffs])[0]._diagonalizable:
+    if coeffs == _BREACH or Propagators([coeffs], _P0).cond[0] == np.inf:  # expm
         assert np.all(brackets == math.inf)
 
 
@@ -739,6 +766,25 @@ def test_one_search_of_a_whole_figure_stays_in_bounded_memory():
             "run_sweeps(preset(7))\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     assert int(_small_process(code)[0]) < 100 * 1024
+
+
+def test_trajectories_hold_under_a_kilobyte_per_set():
+    # figure 9's 7 200 sets go to one search, which holds them all throughout
+    sets = []
+    for spec in preset(9):
+        for value in spec.grid:
+            coeffs = compute_coefficients(SystemParams.from_dimensionless(
+                **{**spec.fixed, spec.axis: value}))
+            sets += [coeffs, coeffs.without_d()]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajectories = _Trajectories(sets)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == 7200 and trajectories.provable.all()
+    assert held < 1024 * len(sets)
 
 
 def test_row_without_an_envelope_has_its_bits_in_bounded_memory():
