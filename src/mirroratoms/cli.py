@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a write: _load_spec reports the one read a command makes
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (RowError, *NUMERICAL_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import partial
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
 from .correlations import (CoefficientSet, SystemParams, _elementwise, _libm,
                            compute_coefficients)
-from .errors import ConvergenceError, DomainError, each_or_alone
+from .errors import ConvergenceError, DomainError, _filled, each_or_alone
 from .evolution import (_TEN, HARD_TOL, SAMPLES_PER_SCALE, Propagators, XState, _time_scale,
-                        default_horizons, x_concurrence)
+                        default_horizons, rate_table, x_concurrence)
 
 # uniform samples allowed over the coherence window, beyond which the
 # search raises ConvergenceError rather than truncate its grid
@@ -120,13 +118,14 @@ def _generation_rate(a1, a2, b1, d):
 
 
 class _Trajectories:
-    """The closed-form trajectories of coefficient sets from |10>, held as
-    the stacked arrays of `Propagators`, with an upper envelope of their
-    concurrence."""
+    """The closed-form trajectories of the rows of a table of rates from
+    |10>, held as the stacked arrays of `Propagators`, with an upper envelope
+    of their concurrence."""
 
-    def __init__(self, coeff_sets):
-        self.props = props = Propagators(coeff_sets, _TEN.populations)
-        self.coherent = np.array([-4.0 * (c.a1 + 1j * c.d) for c in coeff_sets])
+    def __init__(self, rates: np.ndarray):
+        self.props = props = Propagators(rates, _TEN.populations)
+        self.a1, self.d = rates[:, 0], rates[:, 4]
+        self.coherent = -4.0 * (self.a1 + 1j * self.d)
         # The envelope of `bound`. Each of p_aa - p_ss, p_gg and p_ee is the
         # real part of a sum over the modes j of c_j exp(w_j t), c_j = u_j m_j
         # with m = V^-1 p0 and u the row of V (or V_aa - V_ss). Per set, for
@@ -134,11 +133,9 @@ class _Trajectories:
         # (the term is monotone in t), and |c_j| where it is not, plus 1e-12
         # times the weight |u_j| |m_j| (|V_aa,j| + |V_ss,j| for the
         # difference) that scales rounding.
-        count = len(coeff_sets)
+        count = len(rates)
         self.decay = np.zeros((count, 1, 4))
         self.monotone, self.swing = np.zeros((count, 3, 4)), np.zeros((count, 3, 4))
-        self.a1 = np.array([c.a1 for c in coeff_sets], dtype=float)
-        self.d = np.array([c.d for c in coeff_sets], dtype=float)
         self.provable = np.zeros(count, dtype=bool)
         sure = np.flatnonzero(props.cond < _PROVABLE_COND)
         if sure.size:
@@ -243,62 +240,48 @@ def _refine(fun, lo: np.ndarray, hi: np.ndarray, tol: float):
     raise ConvergenceError(f"bracket refinement did not converge in {_MAX_ROUNDS} rounds")
 
 
-class _Row(NamedTuple):
-    """A coefficient set with its horizon and the plan of its search grid:
-    the points k dt, k = 0..m, with the last one set to the horizon, or,
-    if `tailed`, followed by a geometric tail from m dt to the horizon."""
-    coeffs: CoefficientSet
-    horizon: float
-    m: int
-    dt: float
-    tailed: bool
-
-    @property
-    def size(self) -> int:
-        return self.m + (_TAIL_SAMPLES if self.tailed else 1)
-
-
-def _plan(coeffs: CoefficientSet, horizon: float) -> _Row:
-    """Search grid on [0, horizon]: the points of linspace(0, horizon, n + 1)
-    (SAMPLES_PER_SCALE per time scale) up to the coherence window W, where
-    the c_as bound 2|c_as(0)| exp(-4 a1 t) on the concurrence falls to 1e-13,
-    but at least one scale; past W, where only the smooth populations
-    matter, a geometric tail of _TAIL_SAMPLES points up to the horizon.
-    DomainError for a horizon that is not finite and > 0, ConvergenceError
-    when the window needs more than _DENSE_BUDGET samples or the horizon
-    more grid points than a float holds."""
-    if horizon <= 0.0 or not math.isfinite(horizon):
-        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
-    scale = _time_scale(coeffs, horizon)
-    count = SAMPLES_PER_SCALE * horizon / scale
-    if count == math.inf:
-        raise ConvergenceError(f"horizon {horizon:.3g} needs more grid points than a float counts")
-    n = max(math.ceil(count), 100)
-    c0 = max(2.0 * abs(_TEN.c_as), 1e-13)
-    window = math.log(c0 / 1e-13) / (4.0 * coeffs.a1) if coeffs.a1 > 0.0 else horizon
-    dt = horizon / n
-    m = min(n, math.ceil(max(window, scale) / dt))
-    if m > _DENSE_BUDGET:
-        raise ConvergenceError(f"coherence window needs {m} samples; budget {_DENSE_BUDGET}")
-    return _Row(coeffs, horizon, m, dt, m < n)
-
-
 class _Grid:
-    """The search grids of planned rows, concatenated, at the sample indices
-    asked for: row r holds the indices starts[r]..ends[r] - 1."""
+    """The search grids of the rows of a table of rates on [0, horizons[r]],
+    planned elementwise and concatenated: row r holds the sample indices
+    starts[r]..ends[r] - 1, the points k dt, k = 0..m, of linspace(0,
+    horizon, n + 1) (SAMPLES_PER_SCALE per time scale) up to the coherence
+    window W, where the c_as bound 2|c_as(0)| exp(-4 a1 t) on the concurrence
+    falls to 1e-13, but at least one scale; then the horizon, or, if `tailed`
+    (W ends first and only the smooth populations matter), a geometric tail
+    of _TAIL_SAMPLES points up to it. Raises the first check any row fails,
+    with its first such row's message: DomainError for a horizon that is not
+    finite and > 0, ConvergenceError when it needs more grid points than a
+    float counts or W more than _DENSE_BUDGET samples."""
 
-    def __init__(self, rows):
-        self.sizes = np.array([row.size for row in rows])
-        self.ends = np.cumsum(self.sizes)
-        self.starts = self.ends - self.sizes
-        self.m = np.array([row.m for row in rows])
-        self.dt = np.array([row.dt for row in rows])
-        self.horizon = np.array([row.horizon for row in rows])
-        self.tailed = np.array([row.tailed for row in rows], dtype=bool)
-        # np.geomspace(m dt, horizon, _TAIL_SAMPLES) sample by sample: its
-        # exponents are those of np.linspace, then its ends are set exactly
-        with np.errstate(divide="ignore"):  # m dt = 0 in no tailed row
-            self.log_lo = np.log10(self.m * self.dt)
+    def __init__(self, rates: np.ndarray, horizons: np.ndarray):
+        self.horizon = horizon = np.asarray(horizons, dtype=float)
+        bad = (horizon <= 0.0) | ~np.isfinite(horizon)
+        if bad.any():
+            raise DomainError(f"horizon must be finite and > 0, got {float(horizon[bad][0])}")
+        a1 = rates[:, 0]
+        with np.errstate(all="ignore"):  # an overflow is a count or window of inf
+            scale = _time_scale(a1, rates[:, 4], horizon)
+            count = SAMPLES_PER_SCALE * horizon / scale
+            bad = count == math.inf
+            if bad.any():
+                raise ConvergenceError(f"horizon {float(horizon[bad][0]):.3g} needs more "
+                                       "grid points than a float counts")
+            n = np.maximum(np.ceil(count), 100.0)
+            c0 = max(2.0 * abs(_TEN.c_as), 1e-13)
+            window = np.where(a1 > 0.0, math.log(c0 / 1e-13) / (4.0 * a1), horizon)
+            self.dt = horizon / n
+            m = np.minimum(n, np.ceil(np.maximum(window, scale) / self.dt))
+            bad = m > _DENSE_BUDGET
+            if bad.any():
+                raise ConvergenceError(f"coherence window needs {int(m[bad][0])} samples; "
+                                       f"budget {_DENSE_BUDGET}")
+            self.m, self.tailed = m.astype(int), m < n
+            self.sizes = self.m + np.where(self.tailed, _TAIL_SAMPLES, 1)
+            self.ends = np.cumsum(self.sizes)
+            self.starts = self.ends - self.sizes
+            # np.geomspace(m dt, horizon, _TAIL_SAMPLES) sample by sample: its
+            # exponents are those of np.linspace, then its ends are set exactly
+            self.log_lo = np.log10(self.m * self.dt)  # m dt = 0 in no tailed row
             self.step = (np.log10(self.horizon) - self.log_lo) / (_TAIL_SAMPLES - 1)
 
     def row(self, index: np.ndarray) -> np.ndarray:
@@ -418,9 +401,9 @@ def _scan(trajectories: _Trajectories, grid: _Grid) -> tuple:
     return times, marked, holder[order], t_lo[order], t_hi[order]
 
 
-def _search(rows, tol: float) -> list:
-    """(tau_star, c_max) of every planned row, in one pass; raises what any
-    row raises, before any row warns that its maximum sits at the horizon.
+def _search(rates: np.ndarray, horizons: np.ndarray, tol: float) -> list:
+    """(tau_star, c_max) of every row of a table of rates on [0, horizons[r]];
+    raises what any row raises, before any row warns of a maximum at the horizon.
 
     Branch and bound on the envelope of `_Trajectories.bound`. Each row's
     grid is cut into blocks of _BLOCK samples, bounded over the block and
@@ -439,8 +422,8 @@ def _search(rows, tol: float) -> list:
     only their brackets, and _refine sections at most _CHUNK_SAMPLES samples
     at a time.
     """
-    trajectories, count = _Trajectories([row.coeffs for row in rows]), len(rows)
-    times, marked, holder, t_lo, t_hi = _scan(trajectories, _Grid(rows))
+    trajectories, count = _Trajectories(rates), len(rates)
+    times, marked, holder, t_lo, t_hi = _scan(trajectories, _Grid(rates, horizons))
     t_ref, c_ref = _refine(
         lambda ts, active: trajectories.concurrence(
             ts, np.bincount(holder[active], minlength=count) * (_SECTIONS + 1)),
@@ -472,24 +455,29 @@ def max_concurrences(coeff_sets, horizon: float | None = None, tol: float = 1e-8
     """`max_concurrence` of every coefficient set in one call: its
     (tau_star, c_max), or the error its own call would raise.
 
-    The sets are planned together (default horizons from one stacked
-    computation), then searched together by one `_search`, which scans and
-    refines only the blocks and brackets its envelope cannot rule out, in
-    slices of at most _CHUNK_SAMPLES samples; `each_or_alone` halves a
-    failing planning or search down to its failing sets. A set gets the
-    bits, the error and the horizon warning of its own call, and of the
-    search without the envelope, whatever else it is with.
+    The sets become one table of rates, planned elementwise, then searched
+    together by one `_search`, which scans and refines only the blocks and
+    brackets its envelope cannot rule out, in slices of at most
+    _CHUNK_SAMPLES samples; `each_or_alone` halves a failing planning or
+    search down to its failing sets. A set gets the bits, the error and the
+    horizon warning of its own call, and of the search without the
+    envelope, whatever else it is with.
     """
     _check_tol(tol)
+    rates = rate_table(coeff_sets)
+    horizons = np.empty(len(rates))
 
-    def plan(sets):
-        horizons = default_horizons(sets, _TEN) if horizon is None else [horizon] * len(sets)
-        return [_plan(coeffs, h) for coeffs, h in zip(sets, horizons)]
+    def plan(rows):
+        found = (default_horizons(rates[rows], _TEN) if horizon is None
+                 else np.full(len(rows), horizon, dtype=float))
+        _Grid(rates[rows], found)  # the checks of the search grids
+        return found
 
-    planned = each_or_alone(plan, list(coeff_sets))
-    rows = [row for row in planned if isinstance(row, _Row)]
-    searched = iter(each_or_alone(partial(_search, tol=tol), rows) if rows else [])
-    return [next(searched) if isinstance(row, _Row) else row for row in planned]
+    failed = _filled(horizons, plan, len(rates))
+    planned = [r for r, error in enumerate(failed) if error is None]
+    searched = iter(each_or_alone(lambda rows: _search(rates[rows], horizons[rows], tol),
+                                  planned) if planned else [])
+    return [error or next(searched) for error in failed]
 
 
 def max_concurrence(params: SystemParams, horizon: float | None = None, tol: float = 1e-8,

@@ -35,3 +35,13 @@ def each_or_alone(kernel, items) -> list:
             return [exc]
         half = len(items) // 2
         return each_or_alone(kernel, items[:half]) + each_or_alone(kernel, items[half:])
+
+
+def _filled(out, kernel, size: int) -> list:
+    """Each point's error, or None, of `kernel` over index lists of the
+    points 0..size-1, whose results it writes to out[..., points];
+    `each_or_alone` halves a failing batch down to its failing points."""
+    def fill(points):
+        out[..., points] = kernel(points)
+        return [None] * len(points)
+    return each_or_alone(fill, list(range(size)))

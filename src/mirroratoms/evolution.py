@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlations import CoefficientSet
+from .correlations import CoefficientSet, _libm
 from .errors import ConvergenceError, DegenerateKernelError, DomainError, InvariantError
 
 # hard error at 1e-9 of drift, clamp-to-zero below that (roundoff headroom)
@@ -136,25 +136,30 @@ def population_generator(coeffs: CoefficientSet) -> np.ndarray:
     Columns sum to zero (trace preservation); the coherent coupling d does
     not enter the populations at all.
     """
-    return population_generators([coeffs])[0]
+    return population_generators(rate_table([coeffs]))[0]
 
 
-def population_generators(coeff_sets) -> np.ndarray:
-    """The generators of `population_generator` for a sequence of coefficient
-    sets, stacked into shape (n, 4, 4)."""
-    return np.array([_generator_entries(c.a1, c.a2, c.b1, c.b2) for c in coeff_sets],
-                    dtype=float).reshape(-1, 4, 4)
+def rate_table(coeff_sets) -> np.ndarray:
+    """The rates of coefficient sets as the rows (a1, a2, b1, b2, d) of one
+    (n, 5) table, which the stacked computations below take."""
+    return np.array([(c.a1, c.a2, c.b1, c.b2, c.d) for c in coeff_sets],
+                    dtype=float).reshape(-1, 5)
 
 
-def _generator_entries(a1: float, a2: float, b1: float, b2: float) -> tuple:
-    up_a = 2.0 * (a1 - b1 - a2 + b2)     # absorption through the antisymmetric channel
-    up_s = 2.0 * (a1 - b1 + a2 - b2)     # absorption through the symmetric channel
-    down_a = 2.0 * (a1 + b1 - a2 - b2)   # emission, antisymmetric channel
-    down_s = 2.0 * (a1 + b1 + a2 + b2)   # emission, symmetric channel
-    return (-4.0 * (a1 - b1), 0.0, down_a, down_s,
-            0.0, -4.0 * (a1 + b1), up_a, up_s,
-            up_a, down_a, -4.0 * (a1 - a2), 0.0,
-            up_s, down_s, 0.0, -4.0 * (a1 + a2))
+def population_generators(rates: np.ndarray) -> np.ndarray:
+    """The generators of `population_generator` for a table of rates
+    (`rate_table`), elementwise, stacked into shape (n, 4, 4)."""
+    a1, a2, b1, b2 = rates.T[:4]
+    with np.errstate(over="ignore"):  # rates near the float range give inf, which eig refuses
+        up_a = 2.0 * (a1 - b1 - a2 + b2)     # absorption through the antisymmetric channel
+        up_s = 2.0 * (a1 - b1 + a2 - b2)     # absorption through the symmetric channel
+        down_a = 2.0 * (a1 + b1 - a2 - b2)   # emission, antisymmetric channel
+        down_s = 2.0 * (a1 + b1 + a2 + b2)   # emission, symmetric channel
+        zero = np.zeros_like(a1)
+        return np.stack([-4.0 * (a1 - b1), zero, down_a, down_s,
+                         zero, -4.0 * (a1 + b1), up_a, up_s,
+                         up_a, down_a, -4.0 * (a1 - a2), zero,
+                         up_s, down_s, zero, -4.0 * (a1 + a2)], axis=1).reshape(-1, 4, 4)
 
 
 class Propagators:
@@ -170,8 +175,8 @@ class Propagators:
     keeps their real parts (cond and inv then run on real matrices), in
     views of the stacks with the strides of its own call's (`modes`)."""
 
-    def __init__(self, coeff_sets, p0: np.ndarray):
-        self.p0, self.m = p0, population_generators(coeff_sets)
+    def __init__(self, rates: np.ndarray, p0: np.ndarray):
+        self.p0, self.m = p0, population_generators(rates)
         self.w, self.v = np.linalg.eig(self.m)
         self.real = (self.w.imag == 0.0).all(axis=1)
         self.cond = np.full(len(self.m), math.inf)
@@ -257,7 +262,7 @@ def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionRe
     HARD_TOL, which signals an inconsistent coefficient set.
     """
     t = _check_times(times)
-    props = Propagators([coeffs], initial.populations)
+    props = Propagators(rate_table([coeffs]), initial.populations)
     if props.cond[0] < math.inf:
         # One 4x4 @ 4x1 product per stamp, stacked: BLAS may round a single
         # 4x4 @ 4xN product differently with N, and a stamp must give the same
@@ -271,13 +276,13 @@ def evolve_closed(initial: XState, coeffs: CoefficientSet, times) -> EvolutionRe
     return _assemble(t, pops, c_as, c_ge)
 
 
-def _null_populations(coeff_sets, ms) -> np.ndarray:
+def _null_populations(rates: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """The trace-one null vectors (n, 4) of the stacked generators `ms` of
-    `coeff_sets`, the stationary populations, unchecked as states.
+    the table `rates`, the stationary populations, unchecked as states.
     DomainError unless every a1 > 0; DegenerateKernelError for the first
     generator whose null space is not one-dimensional or whose null vector
     is traceless, rather than guess."""
-    if any(c.a1 <= 0.0 for c in coeff_sets):
+    if (rates[:, 0] <= 0.0).any():
         raise DomainError("steady state requires a1 > 0")
     _, s, vt = np.linalg.svd(ms)
     null_dim = np.sum(s <= 1e-10 * s[:, :1], axis=1)
@@ -306,46 +311,40 @@ POPULATION_FLOOR = 1e-8
 def default_horizon(coeffs: CoefficientSet, initial: XState) -> float:
     """Horizon after which the coherences have fallen below COHERENCE_FLOOR
     and the populations sit within POPULATION_FLOOR of the steady state."""
-    return default_horizons([coeffs], initial)[0]
+    return float(default_horizons(rate_table([coeffs]), initial)[0])
 
 
-def default_horizons(coeff_sets, initial: XState) -> list:
-    """`default_horizon` of each coefficient set, from one stacked call each
-    of svd and eigvals; raises the error of the first check any set fails,
-    in the order the one-set call makes them."""
-    ms = population_generators(coeff_sets)
-    p = _null_populations(coeff_sets, ms)
+def default_horizons(rates: np.ndarray, initial: XState) -> np.ndarray:
+    """`default_horizon` of each row of a table of rates, elementwise after
+    one stacked call each of svd and eigvals; raises the error of the first
+    check any row fails, in the order the one-set call makes them."""
+    ms = population_generators(rates)
+    p = _null_populations(rates, ms)  # every a1 > 0 from here on
     zero = np.zeros(len(p))
     held = x_invariants(*p.T, zero, zero, HARD_TOL)[0]  # the checks of an XState
     gaps = np.abs(initial.populations - held.T).sum(axis=1)
-    rates = _relaxation_rates(ms)
-    if ((gaps > POPULATION_FLOOR) & (rates == math.inf)).any():
+    decay = _relaxation_rates(ms)
+    if ((gaps > POPULATION_FLOOR) & (decay == math.inf)).any():
         raise DegenerateKernelError("population generator has no decaying mode")
     c0 = max(abs(initial.c_as), abs(initial.c_ge))
-    horizons = []
-    for coeffs, gap, rate in zip(coeff_sets, gaps.tolist(), rates.tolist()):
-        t_coh = t_pop = 0.0
-        if c0 > COHERENCE_FLOOR and coeffs.a1 > 0.0:
-            t_coh = math.log(c0 / COHERENCE_FLOOR) / (4.0 * coeffs.a1)
-        if gap > POPULATION_FLOOR:
-            t_pop = math.log(gap / POPULATION_FLOOR) / rate
-        horizons.append(max(t_coh, t_pop, 1.0))
-    return horizons
+    with np.errstate(over="ignore"):  # a rate near 0: a horizon of inf, which planning refuses
+        # log 1 = 0: no time where the gap or c0 is already at or below its floor
+        t_pop = _libm(math.log, np.maximum(gaps / POPULATION_FLOOR, 1.0)) / decay
+        t_coh = math.log(max(c0 / COHERENCE_FLOOR, 1.0)) / (4.0 * rates[:, 0])
+    return np.maximum(np.maximum(t_coh, t_pop), 1.0)
 
 
 SAMPLES_PER_SCALE = 40  # of default_time_grid and of max_concurrence's search grid
 MAX_GRID_POINTS = 200_000  # default_time_grid raises beyond this budget
 
 
-def _time_scale(coeffs: CoefficientSet, t_end: float) -> float:
-    """Shorter of the coherent-oscillation period pi/(2|d|) and the decay
-    scale 1/(4 a1), capped at t_end; grids sample it SAMPLES_PER_SCALE times."""
-    scale = t_end
-    if coeffs.d != 0.0:
-        scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
-    if coeffs.a1 > 0.0:
-        scale = min(scale, 1.0 / (4.0 * coeffs.a1))
-    return scale
+def _time_scale(a1, d, t_end):
+    """Shorter of the oscillation period pi/(2|d|) and the decay scale 1/(4 a1),
+    capped at t_end, elementwise; grids sample it SAMPLES_PER_SCALE times."""
+    with np.errstate(divide="ignore", over="ignore"):  # where d = 0 or a1 <= 0: t_end
+        period = np.where(d != 0.0, math.pi / (2.0 * np.abs(d)), t_end)
+        decay = np.where(a1 > 0.0, np.reciprocal(4.0 * a1), t_end)
+    return np.minimum(np.minimum(t_end, period), decay)
 
 
 def tau_horizon(coeffs: CoefficientSet) -> float:
@@ -367,7 +366,7 @@ def default_time_grid(coeffs: CoefficientSet, t_end: float) -> np.ndarray:
     """
     if t_end <= 0.0 or not math.isfinite(t_end):
         raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-    dt = _time_scale(coeffs, t_end) / SAMPLES_PER_SCALE
+    dt = float(_time_scale(coeffs.a1, coeffs.d, t_end)) / SAMPLES_PER_SCALE
     if t_end / dt > MAX_GRID_POINTS:
         raise ConvergenceError(f"time grid needs {t_end / dt:.4g} points to resolve "
                                f"its time scale; budget {MAX_GRID_POINTS}")

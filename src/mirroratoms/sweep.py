@@ -34,7 +34,7 @@ from . import __version__
 from .concurrence import _generation_rate, max_concurrences
 from .correlations import (CoefficientSet, SystemParams, _coefficients,
                            compute_coefficients)
-from .errors import NUMERICAL_ERRORS, DomainError, each_or_alone
+from .errors import NUMERICAL_ERRORS, DomainError, _filled, each_or_alone
 from .evolution import (default_time_grid, evolve_closed, prepare_initial,
                         tau_horizon)
 
@@ -182,16 +182,6 @@ class SweepResult:
             object.__setattr__(part, "_whole", (self, keep, texts))
             parts.append(part)
         return parts
-
-
-def _filled(out: np.ndarray, kernel, size: int) -> list:
-    """Each point's error, or None, of `kernel` over index lists of the
-    points 0..size-1, whose results it writes to out[..., points];
-    `each_or_alone` halves a failing batch down to its failing points."""
-    def fill(points):
-        out[..., points] = kernel(points)
-        return [None] * len(points)
-    return each_or_alone(fill, list(range(size)))
 
 
 def _masked(values: list, errors: list) -> list:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mirroratoms import SystemParams, XState
-from mirroratoms.evolution import _null_populations, population_generators
+from mirroratoms.evolution import _null_populations, population_generators, rate_table
 
 
 @pytest.fixture
@@ -37,5 +37,6 @@ def steady_state(coeffs) -> XState:
     """The stationary state of a coefficient set: the null vector of its
     population generator that the default horizon relaxes towards, checked
     as an XState, coherences zero."""
-    p = _null_populations([coeffs], population_generators([coeffs]))[0]
+    rates = rate_table([coeffs])
+    p = _null_populations(rates, population_generators(rates))[0]
     return XState(p_gg=p[0], p_ee=p[1], p_aa=p[2], p_ss=p[3])

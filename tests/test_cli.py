@@ -150,6 +150,22 @@ def test_exit_code_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["rate", "--format", "text"], ["rate", "--format", "csv"], ["rate", "--format", "json"],
+    ["evolve", "--format", "csv"], ["evolve", "--format", "json"], ["cmax"], ["figure", "2"],
+], ids=" ".join)
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    # a file in a directory that does not exist; for figure, a file where
+    # its output directory would go
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if argv[0] == "figure" else tmp_path / "missing" / "x.txt"
+    assert main([*argv, *([] if argv[0] == "figure" else ANCHOR), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and str(out) in err
+    assert taken.read_text() == "" and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["cmax", "--tol", "0"], ["cmax", "--tol", "nan"], ["cmax", "--tol", "1e-3"],
     ["cmax", "--horizon", "inf"], ["cmax", "--horizon", "0"], ["cmax", "--horizon", "nan"],
     ["evolve", "--t-end", "-1"], ["evolve", "--t-end", "0", "--points", "3"],

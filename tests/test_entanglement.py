@@ -23,9 +23,12 @@ from mirroratoms import (CoefficientSet, ConvergenceError, DomainError,
                          max_concurrence, max_concurrences, population_generator,
                          prepare_initial, preset, run_sweep)
 from mirroratoms.cli import main
-from mirroratoms.concurrence import _Grid, _plan, _refine, _Trajectories
+from mirroratoms.concurrence import _Grid, _refine, _Trajectories
 from mirroratoms.errors import NUMERICAL_ERRORS
-from mirroratoms.evolution import HARD_TOL, Propagators, x_concurrence
+from mirroratoms.evolution import (COHERENCE_FLOOR, HARD_TOL, POPULATION_FLOOR,
+                                   SAMPLES_PER_SCALE, Propagators, _null_populations,
+                                   _relaxation_rates, default_horizons, population_generators,
+                                   rate_table, x_concurrence, x_invariants)
 
 from conftest import random_params, random_x_state
 from oracles import concurrence_general, evolve_numeric, k1_closed, to_product_matrix
@@ -389,12 +392,12 @@ def test_stacked_propagators_give_each_set_the_bits_of_its_own():
     sets = [compute_coefficients(SystemParams.from_dimensionless(*dims))
             for dims in ((0.4, 1.0, 0.3), (20.0, 0.1, 3.0), (1.0, 2.7, 9.0))]
     sets[1:1] = [_BREACH, expm, expm.without_d()]
-    stack = Propagators(sets, _P0)
+    stack = Propagators(rate_table(sets), _P0)
     assert stack.w.dtype == complex and stack.real.tolist() == [1, 0, 1, 1, 1, 1]
     assert (stack.cond == np.inf).tolist() == [0, 0, 1, 1, 0, 0]
     taus = np.linspace(0.0, 3.0, 7)
     for i, coeffs in enumerate(sets):
-        alone = Propagators([coeffs], _P0)
+        alone = Propagators(rate_table([coeffs]), _P0)
         assert stack.propagate(i, taus).tobytes() == alone.propagate(0, taus).tobytes()
         if alone.cond[0] < np.inf:  # the modes of evolve_closed's per-stamp products
             assert stack.modes(i, taus)[1].tobytes() == alone.modes(0, taus)[1].tobytes()
@@ -427,14 +430,15 @@ def test_batched_search_matches_one_row_calls(monkeypatch, horizon, budget):
         sets += [coeffs, coeffs.without_d()]
     sets.insert(3, _BREACH)
     expected = [_one_row(coeffs, horizon) for coeffs in sets]
-    assert Propagators([sets[12]], _P0).cond[0] == np.inf  # _EXPM_ROW, without_D: expm
+    assert Propagators(rate_table([sets[12]]), _P0).cond[0] == np.inf  # _EXPM_ROW, without_D: expm
 
     calls = []  # (sets, samples, whether it raised) per search
     real = concurrence_mod._search
 
-    def spy(rows, *args, **kwargs):
-        calls.append([[row.coeffs for row in rows], sum(row.size for row in rows), True])
-        found = real(rows, *args, **kwargs)
+    def spy(rates, horizons, *args, **kwargs):
+        calls.append([[CoefficientSet(*r) for r in rates.tolist()],
+                      int(_Grid(rates, horizons).sizes.sum()), True])
+        found = real(rates, horizons, *args, **kwargs)
         calls[-1][2] = False
         return found
 
@@ -486,9 +490,9 @@ def figure_point(draw):
     return dims, draw(st.booleans())
 
 
-def _search_grid(row):
-    """The search grid of a planned row, sample by sample."""
-    grid = _Grid([row])
+def _search_grid(coeffs, horizon):
+    """The search grid of a set on [0, horizon], sample by sample."""
+    grid = _Grid(rate_table([coeffs]), [horizon])
     index = np.arange(grid.ends[-1])
     return grid.times(index, grid.row(index))
 
@@ -502,8 +506,8 @@ def _coeffs_at(dims, with_d):
 @given(point=figure_point())
 def test_max_concurrence_bounds_its_own_grid(point):
     coeffs = _coeffs_at(*point)
-    taus = _search_grid(_plan(coeffs, default_horizon(coeffs, prepare_initial("ten"))))
-    curve = _Trajectories([coeffs]).concurrence(taus, [taus.size])
+    taus = _search_grid(coeffs, default_horizon(coeffs, prepare_initial("ten")))
+    curve = _Trajectories(rate_table([coeffs])).concurrence(taus, [taus.size])
     # past the coherence window the grid turns geometric and c_as no longer
     # moves the concurrence by more than 1e-13 (the horizon itself is set
     # exactly, so it may differ from n * dt on a grid with no tail)
@@ -632,9 +636,9 @@ def test_pruned_search_matches_the_full_search(sets, horizon):
 @given(coeffs=searched_set())
 def test_bound_holds_over_blocks_and_brackets(coeffs):
     try:
-        row = _plan(coeffs, default_horizon(coeffs, prepare_initial("ten")))
-        trajectories = _Trajectories([coeffs])
-        taus = _search_grid(row)
+        horizon = default_horizon(coeffs, prepare_initial("ten"))
+        trajectories = _Trajectories(rate_table([coeffs]))
+        taus = _search_grid(coeffs, horizon)
         curve = trajectories.concurrence(taus, [taus.size])
     except NUMERICAL_ERRORS:
         return  # a row the search rejects has no envelope to check
@@ -654,8 +658,85 @@ def test_bound_holds_over_blocks_and_brackets(coeffs):
     brackets = bound(taus[:-2], taus[2:])
     assert np.all(curve[1:-1] <= brackets)
     assert np.all(np.maximum(between[:-1], between[1:]) <= brackets)
-    if coeffs == _BREACH or Propagators([coeffs], _P0).cond[0] == np.inf:  # expm
+    if coeffs == _BREACH or Propagators(rate_table([coeffs]), _P0).cond[0] == np.inf:  # expm
         assert np.all(brackets == math.inf)
+
+
+def _reference_horizon(coeffs) -> float:
+    """default_horizon of one set as the scalar loop over sets computed it,
+    from the set's own stacked steady state and relaxation rate."""
+    rates = rate_table([coeffs])
+    ms = population_generators(rates)
+    held = x_invariants(*_null_populations(rates, ms).T, [0.0], [0.0], HARD_TOL)[0]
+    gap, rate = float(np.abs(_P0 - held.T).sum()), float(_relaxation_rates(ms)[0])
+    c0 = abs(prepare_initial("ten").c_as)
+    t_coh = t_pop = 0.0
+    if c0 > COHERENCE_FLOOR and coeffs.a1 > 0.0:
+        t_coh = math.log(c0 / COHERENCE_FLOOR) / (4.0 * coeffs.a1)
+    if gap > POPULATION_FLOOR:
+        t_pop = math.log(gap / POPULATION_FLOOR) / rate
+    return max(t_coh, t_pop, 1.0)
+
+
+def _reference_plan(coeffs, horizon) -> tuple:
+    """(m, dt, tailed) of the search grid of one set on [0, horizon], planned
+    with scalar floats, math.ceil and math.log, or the error it raises."""
+    if horizon <= 0.0 or not math.isfinite(horizon):
+        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
+    scale = horizon
+    if coeffs.d != 0.0:
+        scale = min(scale, math.pi / (2.0 * abs(coeffs.d)))
+    if coeffs.a1 > 0.0:
+        scale = min(scale, 1.0 / (4.0 * coeffs.a1))
+    count = SAMPLES_PER_SCALE * horizon / scale
+    if count == math.inf:
+        raise ConvergenceError(f"horizon {horizon:.3g} needs more grid points than a float counts")
+    n = max(math.ceil(count), 100)
+    c0 = max(2.0 * abs(prepare_initial("ten").c_as), 1e-13)
+    window = math.log(c0 / 1e-13) / (4.0 * coeffs.a1) if coeffs.a1 > 0.0 else horizon
+    dt = horizon / n
+    m = min(n, math.ceil(max(window, scale) / dt))
+    if m > concurrence_mod._DENSE_BUDGET:
+        raise ConvergenceError(f"coherence window needs {m} samples; "
+                               f"budget {concurrence_mod._DENSE_BUDGET}")
+    return m, dt, m < n
+
+
+_PLAN_SETS = [*(_coeffs_at(dict(zip(("z_omega", "a_over_omega", "l_omega"), dims)), with_d)
+                for dims in (_EXPM_ROW, _BUDGET_PROBE) for with_d in (True, False)), _BREACH]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sets=st.lists(searched_set(), min_size=1, max_size=5),
+       horizon=st.sampled_from((None, 3.0, 1e-3, 1e308, 0.0, -1.0, math.nan, math.inf)))
+def test_elementwise_plan_has_the_bits_of_the_scalar_plan(sets, horizon):
+    planned, tail = [], concurrence_mod._TAIL_SAMPLES
+    for coeffs in sets + _PLAN_SETS:
+        try:
+            h = default_horizon(coeffs, prepare_initial("ten")) if horizon is None else horizon
+        except NUMERICAL_ERRORS:
+            continue  # no horizon to plan on
+        try:
+            planned.append((coeffs, h, *_reference_plan(coeffs, h)))
+        except NUMERICAL_ERRORS as exc:
+            with pytest.raises(type(exc)) as caught:
+                _Grid(rate_table([coeffs]), [h])
+            assert str(caught.value) == str(exc)
+    if not planned:
+        return
+    kept = [coeffs for coeffs, *_ in planned]
+    horizons, m, dt, tailed = (np.array(x) for x in list(zip(*planned))[1:])
+    grid = _Grid(rate_table(kept), horizons)
+    with np.errstate(divide="ignore"):  # m dt = 0 in no tailed row
+        log_lo = np.log10(m * dt)
+        step = (np.log10(horizons) - log_lo) / (tail - 1)
+    sizes = m + np.where(tailed, tail, 1)
+    for got, want in zip((grid.m, grid.dt, grid.tailed, grid.sizes, grid.log_lo, grid.step),
+                         (m, dt, tailed, sizes, log_lo, step)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if horizon is None:
+        found = default_horizons(rate_table(kept), prepare_initial("ten"))
+        assert found.tobytes() == np.array([_reference_horizon(c) for c in kept]).tobytes()
 
 
 def _figure_sets(points):
@@ -714,7 +795,7 @@ def test_search_streams_in_bounded_slices(monkeypatch, horizon):
     for dims in (_EXPM_ROW, _UNPROVEN_ROW):
         coeffs = compute_coefficients(SystemParams.from_dimensionless(*dims))
         sets += [coeffs, coeffs.without_d()]
-    assert not _Trajectories([sets[-2]]).provable[0]
+    assert not _Trajectories(rate_table([sets[-2]])).provable[0]
     expected = _searched(sets, horizon)
     calls, brackets = [], []  # (stamps, row pieces) per evaluation; brackets per _refine
     evaluate, refine = _Trajectories.concurrence, concurrence_mod._refine
@@ -779,7 +860,7 @@ def test_trajectories_hold_under_a_kilobyte_per_set():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trajectories = _Trajectories(sets)
+        trajectories = _Trajectories(rate_table(sets))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

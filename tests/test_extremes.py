@@ -12,8 +12,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from mirroratoms import (ConvergenceError, SweepSpec, compute_coefficients,
-                         load_result, max_concurrences, run_sweep)
+from mirroratoms import (CoefficientSet, ConvergenceError, SweepSpec, compute_coefficients,
+                         load_result, max_concurrence, max_concurrences, run_sweep)
 from mirroratoms.cli import main
 from mirroratoms.concurrence import _generation_rate
 from mirroratoms.correlations import SystemParams, _kernels
@@ -98,3 +98,11 @@ def test_search_horizon_beyond_a_float_count_is_a_typed_error():
     assert "horizon" in str(found[0])
     assert _run(["cmax", "--z", "0.4", "--l", "0.3", "--horizon", "1e307"]) == 3
     assert _run(["cmax", "--z", "0.4", "--l", "0.3", "--horizon", "1e300"]) == 0
+
+
+def test_a_vanishing_a1_has_a_coherence_window_of_inf():
+    # log(1e13) / (4 a1) overflows: the window covers the whole horizon and
+    # the grid stays uniform; |10> then oscillates as |sin(4 d t)| forever
+    coeffs = CoefficientSet(1e-320, 0.0, 0.0, 0.0, 1.0)
+    tau_star, c_max = max_concurrence(None, horizon=3.0, coeffs=coeffs)
+    assert abs(tau_star - math.pi / 8.0) <= 1e-8 and c_max == 1.0

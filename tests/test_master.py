@@ -400,7 +400,8 @@ def test_expm_fallback_matches_rk4():
     # at omega*L = 1e-6 a2 -> a1 and the generator's eigenbasis is too
     # ill-conditioned to use, so evolve_closed takes the expm branch
     c = compute_coefficients(SystemParams.from_dimensionless(0.5, 0.1, 1e-6))
-    assert evolution.Propagators([c], prepare_initial("ten").populations).cond[0] == np.inf
+    assert evolution.Propagators(evolution.rate_table([c]),
+                                 prepare_initial("ten").populations).cond[0] == np.inf
     initial = prepare_initial("ten")
     closed = evolve_closed(initial, c, np.linspace(0.0, 20.0, 201))
     # the populations do not depend on d, and d ~ 1/(omega L) is too fast
